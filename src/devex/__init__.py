@@ -55,19 +55,6 @@ from .fisher import (
     limit_ratios,
     ternary_family,
 )
-from .montecarlo import (
-    Estimate,
-    MartingaleTrace,
-    SimConfig,
-    SimResult,
-    SllResult,
-    TailProbabilities,
-    empirical_exponent,
-    exact_binary_tail,
-    martingale_trace,
-    simulate_test,
-    sll_check,
-)
 from .probdist import (
     HypothesisPair,
     LlrStats,
@@ -81,6 +68,33 @@ from .probdist import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo layer needs numpy; the exponent, bound and Fisher layers do
+# not. Its names are looked up in devex.montecarlo on every access (PEP 562)
+# rather than bound here, so importing devex loads no numpy, and a name
+# replaced on devex.montecarlo is seen through devex at once.
+_MONTECARLO = frozenset({
+    "Estimate",
+    "MartingaleTrace",
+    "SimConfig",
+    "SimResult",
+    "SllResult",
+    "TailProbabilities",
+    "empirical_exponent",
+    "exact_binary_tail",
+    "martingale_trace",
+    "simulate_test",
+    "sll_check",
+})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlphabetMismatch",
@@ -141,6 +155,7 @@ __all__ = [
     "simulate_test",
     "sll_check",
     "sqrt_scaling_report",
+    "ternary_family",
     "xlogx_exact",
     "xlogx_floor",
     "__version__",

@@ -31,7 +31,6 @@ from .concentration import (
 from .errors import DevexError, NoConvergence
 from .exponents import Thresholds, compare_report
 from .fisher import bernoulli_family, limit_ratios, ternary_family
-from .montecarlo import SimConfig, exact_binary_tail, simulate_test
 from .probdist import HypothesisPair, make_pmf
 
 log = logging.getLogger("devex.cli")
@@ -192,6 +191,9 @@ def _estimate_dict(est) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    # the only subcommand that needs numpy, so only it loads it
+    from .montecarlo import SimConfig, exact_binary_tail, simulate_test
+
     pair, raw = load_pair(args.pair_file)
     th = Thresholds(lambda_upper=args.lambda_upper, lambda_lower=args.lambda_lower)
     config = SimConfig(

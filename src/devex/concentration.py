@@ -13,9 +13,10 @@ break.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, OutOfDomain
 from .probdist import binary_kl
 
 ONE_SIDED = "one-sided"
@@ -118,7 +119,9 @@ def sqrt_scaling_report(params: MartingaleParams, alpha: float, n_grid):
     For deviations on the sqrt(n) scale the refined bound approaches the
     n-independent asymptote 2 exp(-delta**2/(2 gamma)), delta = alpha/d, with
     a multiplicative error of order n**(-1/2). Returns one row per n with the
-    bound, the asymptote, and their ratio.
+    bound, the asymptote, and their ratio. Raises OutOfDomain when the
+    asymptote is below the smallest normal float: zero would make the ratio
+    a division by zero, and a subnormal one has already lost digits.
     """
     n_grid = list(n_grid)
     if not n_grid:
@@ -128,7 +131,12 @@ def sqrt_scaling_report(params: MartingaleParams, alpha: float, n_grid):
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
     delta = params.delta(alpha)
-    asymptote = 2.0 * math.exp(-delta * delta / (2.0 * params.gamma))
+    x = delta * delta / (2.0 * params.gamma)
+    asymptote = 2.0 * math.exp(-x)
+    if asymptote < sys.float_info.min:
+        raise OutOfDomain(
+            f"asymptote 2 exp(-delta**2/(2 gamma)) underflows: "
+            f"delta**2/(2 gamma) = {x}")
     rows = []
     for n in n_grid:
         # total deviation alpha*sqrt(n) = (alpha/sqrt(n)) * n per-step rate

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, NotBinary
 from .exponents import Thresholds, check_admissible
@@ -264,12 +263,15 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     scores = np.array([_llr_score((n - k, k), llr) for k in ks])
     t_upper = n * th.lambda_upper
     t_lower = n * th.lambda_lower
+    # ln C(n, k), from lg[k] = ln k!
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_binom = math.lgamma(n + 1) - lg - lg[::-1]
 
     def tail(prob_symbol1: float, mask) -> float:
         if not mask.any():
             return 0.0
         logpmf = (
-            gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+            log_binom
             + ks * math.log(prob_symbol1)
             + (n - ks) * math.log1p(-prob_symbol1)
         )

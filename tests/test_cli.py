@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import math
@@ -390,3 +391,68 @@ class TestEntryPoint:
         assert report["command"] == "exponents"
         assert math.isclose(report["results"]["exact_pe1"],
                             0.020410997260127628, rel_tol=1e-12)
+
+
+class TestPackageApi:
+    def test_every_listed_name_resolves(self):
+        for name in devex.__all__:
+            getattr(devex, name)
+
+    def test_all_lists_every_reexport(self):
+        import devex.montecarlo
+
+        bound = {name for name, obj in vars(devex).items()
+                 if not name.startswith("_") and not inspect.ismodule(obj)}
+        forwarded = {name for name, obj in vars(devex.montecarlo).items()
+                     if not name.startswith("_")
+                     and getattr(obj, "__module__", None) == "devex.montecarlo"}
+        assert len(forwarded) == 11
+        assert set(devex.__all__) == bound | forwarded | {"__version__"}
+
+    def test_forwarded_name_is_the_montecarlo_object(self):
+        import devex.montecarlo
+
+        assert devex.simulate_test is devex.montecarlo.simulate_test
+
+    def test_forwarded_name_is_looked_up_on_each_access(self, monkeypatch):
+        # a wrapper installed on devex.montecarlo, then removed, must show
+        # through devex both times: the package may not cache the object
+        import devex.montecarlo
+
+        original = devex.montecarlo.exact_binary_tail
+        sentinel = object()
+        monkeypatch.setattr(devex.montecarlo, "exact_binary_tail", sentinel)
+        assert devex.exact_binary_tail is sentinel
+        monkeypatch.undo()
+        assert devex.exact_binary_tail is original
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            devex.no_such_name
+
+
+class TestImportCost:
+    def test_cli_runs_without_numpy_or_scipy(self, ex1_pair_file):
+        # only simulate needs numpy; scipy is a test-only oracle
+        runs = [
+            ["exponents", ex1_pair_file],
+            ["bounds", "--d", "1", "--sigma-sq", "0.5", "--n", "20",
+             "--alpha", "0.3"],
+            ["fisher", "--family", "ternary", "--alpha", "0.9",
+             "--theta", "1.0"],
+        ]
+        child = (
+            "import json, sys\n"
+            "import devex.cli\n"
+            "codes = [devex.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+            "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(devex.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0], "loaded": []}

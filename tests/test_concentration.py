@@ -10,6 +10,7 @@ from devex import (
     TWO_SIDED,
     DomainError,
     MartingaleParams,
+    OutOfDomain,
     azuma_bound,
     binary_kl,
     quad_cubic_floor,
@@ -136,6 +137,18 @@ class TestSqrtScaling:
         rows = sqrt_scaling_report(p, 1.0, [100, 10_000, 1_000_000])
         gaps = [abs(r.ratio - 1.0) for r in rows]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_underflowing_asymptote_raises(self):
+        p = MartingaleParams(d=1.0, sigma_sq=1e-4)
+        # delta**2/(2 gamma) = 1250: the asymptote is 0.0
+        with pytest.raises(OutOfDomain, match="1250"):
+            sqrt_scaling_report(p, 0.5, [10, 100])
+        # 720: the asymptote is subnormal
+        with pytest.raises(OutOfDomain):
+            sqrt_scaling_report(p, math.sqrt(0.144), [10, 100])
+        # 700: still a normal float
+        rows = sqrt_scaling_report(p, math.sqrt(0.14), [10, 100])
+        assert rows[0].asymptote == pytest.approx(2 * math.exp(-700), rel=1e-12)
 
     def test_grid_validation(self):
         p = MartingaleParams(d=1.0, sigma_sq=0.5)

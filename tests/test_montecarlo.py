@@ -130,12 +130,16 @@ class TestExactBinaryTail:
         assert tails.alpha1 == pytest.approx(0.64, abs=1e-12)
         assert tails.beta1 == pytest.approx(0.16, abs=1e-12)
 
-    def test_binomial_cdf_cross_check(self, ex1_pair, zero_th):
-        # at n = 100 the alpha1 event is exactly {k <= 50} under Bin(100, .6)
-        tails = exact_binary_tail(ex1_pair, 100, zero_th)
-        want = float(scipy.stats.binom.cdf(50, 100, 0.6))
+    @pytest.mark.parametrize("n", [100, 4000])
+    def test_binomial_cdf_cross_check(self, ex1_pair, zero_th, n):
+        # the alpha1 event is exactly {k <= n/2} under Bin(n, .6); the k = n/2
+        # term is about a third of the sum, so an event off by one misses.
+        # n = 4000 tops the benchmark's tail ladder (alpha1 ~ 1.3e-37).
+        tails = exact_binary_tail(ex1_pair, n, zero_th)
+        want = float(scipy.stats.binom.cdf(n // 2, n, 0.6))
         assert tails.alpha1 == pytest.approx(want, rel=1e-10)
-        assert tails.alpha1 == pytest.approx(0.027099197757008555, rel=1e-12)
+        if n == 100:
+            assert tails.alpha1 == pytest.approx(0.027099197757008555, rel=1e-12)
 
     def test_erasure_window_splits_events(self, ex1_pair):
         th = Thresholds(0.02, -0.02)
