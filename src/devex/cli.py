@@ -38,6 +38,13 @@ log = logging.getLogger("devex.cli")
 PAIR_FIELDS = ("alphabet", "p1", "p2")
 
 
+def _array_field(path: str, raw: dict, field: str) -> list:
+    value = raw[field]
+    if not isinstance(value, list):
+        raise DevexError(f"{path}: field {field} must be a JSON array")
+    return value
+
+
 def load_pair(path: str):
     """Parse a pair file {"alphabet": [...], "p1": [...], "p2": [...]}."""
     try:
@@ -57,15 +64,23 @@ def load_pair(path: str):
         raise DevexError(f"{path}: missing field(s) {', '.join(missing)}")
     if extra:
         raise DevexError(f"{path}: unknown field(s) {', '.join(extra)}")
-    try:
-        p1 = make_pmf(raw["alphabet"], raw["p1"])
-    except DevexError as e:
-        raise type(e)(f"{path}: field p1: {e}") from e
-    try:
-        p2 = make_pmf(raw["alphabet"], raw["p2"])
-    except DevexError as e:
-        raise type(e)(f"{path}: field p2: {e}") from e
-    pair = HypothesisPair(p1, p2)
+    labels = _array_field(path, raw, "alphabet")
+    pmfs = []
+    for field in ("p1", "p2"):
+        probs = _array_field(path, raw, field)
+        for i, x in enumerate(probs):
+            # bool is an int subclass, but JSON true/false is not a number
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise DevexError(f"{path}: field {field}: entry {i} = "
+                                 f"{json.dumps(x)} is not a number")
+        try:
+            pmfs.append(make_pmf(labels, probs))
+        except DevexError as e:
+            raise type(e)(f"{path}: field {field}: {e}") from e
+        except OverflowError as e:
+            # an integer literal too large for a float
+            raise DevexError(f"{path}: field {field}: {e}") from e
+    pair = HypothesisPair(*pmfs)
     log.info("loaded pair from %s: %d symbols", path, pair.size())
     return pair, raw
 
@@ -94,7 +109,6 @@ def cmd_exponents(args) -> dict:
         "gamma2": report.gammas[1],
         "gamma_inv1": report.gamma_inv[0],
         "gamma_inv2": report.gamma_inv[1],
-        "note": report.note,
     }
     results.update(_component_items("refined_lb", report.refined.components))
     results.update(_component_items("azuma_lb", report.azuma.components))

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InadmissibleThresholds, NoConvergence, OutOfDomain
-from .probdist import HypothesisPair, LlrStats, binary_kl, kl_divergence, llr_stats, log_mgf
+from .probdist import HypothesisPair, _tilt, binary_kl, llr_stats, log_mgf
 
 _T_TOL = 1e-12
 _MAX_ITER = 200
@@ -93,7 +92,6 @@ class ExponentReport:
     gammas: tuple
     gamma_inv: tuple
     improvement: dict
-    note: Optional[str]
 
 
 def check_admissible(pair: HypothesisPair, th: Thresholds):
@@ -101,8 +99,7 @@ def check_admissible(pair: HypothesisPair, th: Thresholds):
 
     Strict window with a 1e-12 guard band on both ends.
     """
-    d12 = kl_divergence(pair.p1, pair.p2)
-    d21 = kl_divergence(pair.p2, pair.p1)
+    d12, d21 = pair.d12, pair.d21
     if th.lambda_lower <= -d21 + _ADMISSIBILITY_GUARD:
         raise InadmissibleThresholds(
             f"lambda_lower = {th.lambda_lower} must exceed "
@@ -118,15 +115,8 @@ def check_admissible(pair: HypothesisPair, th: Thresholds):
 
 def _tilted_mean(pair: HypothesisPair, t: float) -> float:
     """H'(t): mean of ln(P2/P1) under the tilted distribution at t."""
-    terms = [
-        (1.0 - t) * math.log(a) + t * math.log(b)
-        for a, b in zip(pair.p1.probs, pair.p2.probs)
-    ]
-    m = max(terms)
-    weights = [math.exp(v - m) for v in terms]
-    z = math.fsum(weights)
-    y = [math.log(b / a) for a, b in zip(pair.p1.probs, pair.p2.probs)]
-    return math.fsum(w * v for w, v in zip(weights, y)) / z
+    _, weights = _tilt(pair, t)
+    return math.fsum(w * v for w, v in zip(weights, pair.llr21)) / math.fsum(weights)
 
 
 def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
@@ -138,7 +128,7 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     or attained at infinity.
     """
     r = float(r)
-    y = [math.log(b / a) for a, b in zip(pair.p1.probs, pair.p2.probs)]
+    y = pair.llr21
     if not min(y) < r < max(y):
         raise OutOfDomain(
             f"r = {r} outside the open essential range ({min(y)}, {max(y)})"
@@ -221,12 +211,10 @@ def chernoff_information(pair: HypothesisPair):
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Intermediate threshold geometry shared by the two bound families."""
+    """Intermediate threshold geometry shared by the two bound families;
+    stats maps each hypothesis index to its LlrStats."""
 
-    d12: float
-    d21: float
-    stats1: LlrStats
-    stats2: LlrStats
+    stats: dict
     epsilons: dict
     deltas: dict
 
@@ -234,8 +222,7 @@ class _Geometry:
 def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:
     # degeneracy first: identical hypotheses should read as "no increments"
     # rather than as a threshold problem
-    stats1 = llr_stats(pair, 1)
-    stats2 = llr_stats(pair, 2)
+    stats = {i: llr_stats(pair, i) for i in (1, 2)}
     d12, d21 = check_admissible(pair, th)
     eps = {
         (1, 1): d12 - th.lambda_upper,
@@ -243,10 +230,8 @@ def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:
         (1, 2): d12 - th.lambda_lower,
         (2, 2): d21 + th.lambda_upper,
     }
-    d_of = {1: stats1.d, 2: stats2.d}
-    deltas = {key: eps[key] / d_of[key[0]] for key in COMPONENT_KEYS}
-    return _Geometry(d12=d12, d21=d21, stats1=stats1, stats2=stats2,
-                     epsilons=eps, deltas=deltas)
+    deltas = {key: eps[key] / stats[key[0]].d for key in COMPONENT_KEYS}
+    return _Geometry(stats=stats, epsilons=eps, deltas=deltas)
 
 
 def exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
@@ -258,6 +243,11 @@ def exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
     exponents take the worse (smaller) of the two contributing rates.
     """
     check_admissible(pair, th)
+    return _exact_exponents(pair, th)
+
+
+def _exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
+    # thresholds already checked against the pair
     lam1 = -th.lambda_upper
     lam2 = -th.lambda_lower
     i_lam1 = rate_function(pair, lam1).value
@@ -283,6 +273,25 @@ def _refined_component(delta: float, gamma: float) -> float:
     return binary_kl((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
 
 
+def _min_over_i(comps: dict) -> ExponentBounds:
+    return ExponentBounds(
+        components=comps,
+        pe1=min(comps[(1, 1)], comps[(2, 1)]),
+        pe2=min(comps[(1, 2)], comps[(2, 2)]),
+    )
+
+
+def _refined_bounds(geo: _Geometry) -> ExponentBounds:
+    return _min_over_i({
+        key: _refined_component(geo.deltas[key], geo.stats[key[0]].gamma)
+        for key in COMPONENT_KEYS
+    })
+
+
+def _azuma_bounds(geo: _Geometry) -> ExponentBounds:
+    return _min_over_i({key: 0.5 * geo.deltas[key] ** 2 for key in COMPONENT_KEYS})
+
+
 def refined_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds:
     """Refined concentration lower bounds on the two P_e exponents.
 
@@ -291,61 +300,12 @@ def refined_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds
     bound for each j is the minimum over i. At zero thresholds the deltas
     reduce to D(P1||P2)/d_1 and D(P2||P1)/d_2.
     """
-    geo = _geometry(pair, th)
-    gam = {1: geo.stats1.gamma, 2: geo.stats2.gamma}
-    comps = {
-        key: _refined_component(geo.deltas[key], gam[key[0]])
-        for key in COMPONENT_KEYS
-    }
-    return ExponentBounds(
-        components=comps,
-        pe1=min(comps[(1, 1)], comps[(2, 1)]),
-        pe2=min(comps[(1, 2)], comps[(2, 2)]),
-    )
+    return _refined_bounds(_geometry(pair, th))
 
 
 def azuma_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds:
     """Azuma-based loosened lower bounds delta_{i,j}**2/2, minimized over i."""
-    geo = _geometry(pair, th)
-    comps = {key: 0.5 * geo.deltas[key] ** 2 for key in COMPONENT_KEYS}
-    return ExponentBounds(
-        components=comps,
-        pe1=min(comps[(1, 1)], comps[(2, 1)]),
-        pe2=min(comps[(1, 2)], comps[(2, 2)]),
-    )
-
-
-def _alt_weighting_note(pair: HypothesisPair, geo: _Geometry) -> Optional[str]:
-    """Annotation for the canonical (0.4, 0.6) vs (0.6, 0.4) input.
-
-    Reference tabulations of this example weight both conditional variances
-    by P1, which yields gamma2 = 7/9 instead of the definitional 2/3 and a
-    smaller refined minimum. The note restates that arithmetic next to the
-    definitional values so the two sets of numbers can be told apart.
-    """
-    target_p1 = (0.4, 0.6)
-    target_p2 = (0.6, 0.4)
-    if pair.size() != 2:
-        return None
-    if any(abs(a - b) > 1e-12 for a, b in zip(pair.p1.probs, target_p1)):
-        return None
-    if any(abs(a - b) > 1e-12 for a, b in zip(pair.p2.probs, target_p2)):
-        return None
-    llr2 = [math.log(b / a) for a, b in zip(pair.p1.probs, pair.p2.probs)]
-    sigma2_alt = math.fsum(
-        w * (y - geo.d21) ** 2 for w, y in zip(pair.p1.probs, llr2)
-    )
-    gamma2_alt = sigma2_alt / geo.stats2.d ** 2
-    comp1 = _refined_component(geo.deltas[(1, 1)], geo.stats1.gamma)
-    el_alt = min(comp1, _refined_component(geo.deltas[(2, 1)], gamma2_alt))
-    el_def = min(comp1, _refined_component(geo.deltas[(2, 1)], geo.stats2.gamma))
-    return (
-        "alternative arithmetic for this input: weighting both variances by "
-        f"P1 gives gamma2 = {gamma2_alt:.10g} and a refined minimum of "
-        f"{el_alt:.6g}; this report uses the definitional per-hypothesis "
-        f"weighting (gamma2 = {geo.stats2.gamma:.10g}, refined minimum "
-        f"{el_def:.6g})"
-    )
+    return _azuma_bounds(_geometry(pair, th))
 
 
 def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
@@ -356,9 +316,9 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
     defect, not a modeling choice, and raises NoConvergence.
     """
     geo = _geometry(pair, th)
-    exact = exact_exponents(pair, th)
-    refined = refined_lower_bounds(pair, th)
-    azuma = azuma_lower_bounds(pair, th)
+    exact = _exact_exponents(pair, th)
+    refined = _refined_bounds(geo)
+    azuma = _azuma_bounds(geo)
     slack = 1e-12
     for label, az, rf, ex in (
         ("pe1", azuma.pe1, refined.pe1, exact.pe1),
@@ -374,7 +334,7 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
               else refined.components[key] / azuma.components[key])
         for key in COMPONENT_KEYS
     }
-    gammas = (geo.stats1.gamma, geo.stats2.gamma)
+    gammas = (geo.stats[1].gamma, geo.stats[2].gamma)
     return ExponentReport(
         exact=exact,
         refined=refined,
@@ -384,5 +344,4 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
         gammas=gammas,
         gamma_inv=(1.0 / gammas[0], 1.0 / gammas[1]),
         improvement=improvement,
-        note=_alt_weighting_note(pair, geo),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NotBinary
 from .exponents import Thresholds, check_admissible
-from .probdist import HypothesisPair, kl_divergence
+from .probdist import HypothesisPair
 
 _Z95 = 1.959963984540054
 
@@ -267,25 +267,24 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_binom = math.lgamma(n + 1) - lg - lg[::-1]
 
-    def tail(prob_symbol1: float, mask) -> float:
+    def tail(probs, logs, mask) -> float:
         if not mask.any():
             return 0.0
         logpmf = (
             log_binom
-            + ks * math.log(prob_symbol1)
-            + (n - ks) * math.log1p(-prob_symbol1)
+            + ks * logs[1]
+            + (n - ks) * math.log1p(-probs[1])
         )
         selected = logpmf[mask]
         m = selected.max()
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
-    q1 = pair.p1.probs[1]
-    q2 = pair.p2.probs[1]
+    p1, p2 = pair.p1.probs, pair.p2.probs
     return TailProbabilities(
-        alpha1=tail(q1, scores <= t_upper),
-        alpha2=tail(q1, scores <= t_lower),
-        beta1=tail(q2, scores >= t_lower),
-        beta2=tail(q2, scores >= t_upper),
+        alpha1=tail(p1, pair.log_p1, scores <= t_upper),
+        alpha2=tail(p1, pair.log_p1, scores <= t_lower),
+        beta1=tail(p2, pair.log_p2, scores >= t_lower),
+        beta2=tail(p2, pair.log_p2, scores >= t_upper),
     )
 
 
@@ -356,12 +355,12 @@ def martingale_trace(pair: HypothesisPair, hypothesis: int, n: int,
     llr = np.array(pair.llr())
     if hypothesis == 1:
         probs = np.asarray(pair.p1.probs)
-        drift = kl_divergence(pair.p1, pair.p2)
+        drift = pair.d12
         start = n * drift
         steps = llr - drift
     else:
         probs = np.asarray(pair.p2.probs)
-        drift = kl_divergence(pair.p2, pair.p1)
+        drift = pair.d21
         start = -n * drift
         steps = llr + drift
     rng = _trial_rng(seed, _PURPOSE_TRACE, hypothesis, 0)

@@ -8,12 +8,17 @@ exponent rather than fail loudly.
 Sums use math.fsum (correctly rounded), so every scalar produced here is
 exactly invariant under a relabeling that permutes both distributions the
 same way.
+
+HypothesisPair holds the per-pair LLR table (ln P1, ln P2, both log ratios,
+both divergences), computed at most once per pair object; every layer reads
+it instead of taking per-symbol logs itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlphabetMismatch,
@@ -73,7 +78,13 @@ def make_pmf(labels, probs) -> Pmf:
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """Two hypotheses P1, P2 sharing one alphabet (same labels, same order)."""
+    """Two hypotheses P1, P2 sharing one alphabet (same labels, same order),
+    and their per-symbol LLR table in nats: log_p1 = ln P1(x), log_p2 =
+    ln P2(x), llr12 = ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), and the
+    divergences d12 = D(P1||P2), d21 = D(P2||P1). Each table entry is
+    computed on first access and kept on the object; equality, hashing and
+    repr see only p1 and p2.
+    """
 
     p1: Pmf
     p2: Pmf
@@ -84,11 +95,37 @@ class HypothesisPair:
                 f"label lists differ: {self.p1.labels} vs {self.p2.labels}"
             )
 
-    def llr(self) -> tuple[float, ...]:
-        """Per-symbol log-likelihood ratio ln(P1(x)/P2(x)) in nats."""
+    @cached_property
+    def log_p1(self) -> tuple[float, ...]:
+        return tuple(math.log(a) for a in self.p1.probs)
+
+    @cached_property
+    def log_p2(self) -> tuple[float, ...]:
+        return tuple(math.log(b) for b in self.p2.probs)
+
+    @cached_property
+    def llr12(self) -> tuple[float, ...]:
         return tuple(
             math.log(a / b) for a, b in zip(self.p1.probs, self.p2.probs)
         )
+
+    @cached_property
+    def llr21(self) -> tuple[float, ...]:
+        return tuple(
+            math.log(b / a) for a, b in zip(self.p1.probs, self.p2.probs)
+        )
+
+    @cached_property
+    def d12(self) -> float:
+        return math.fsum(a * y for a, y in zip(self.p1.probs, self.llr12))
+
+    @cached_property
+    def d21(self) -> float:
+        return math.fsum(b * y for b, y in zip(self.p2.probs, self.llr21))
+
+    def llr(self) -> tuple[float, ...]:
+        """Per-symbol log-likelihood ratio ln(P1(x)/P2(x)) in nats."""
+        return self.llr12
 
     def size(self) -> int:
         return len(self.p1)
@@ -109,17 +146,9 @@ class LlrStats:
     increments: tuple[tuple[float, float], ...]
 
 
-def _require_same_alphabet(p: Pmf, q: Pmf):
-    if p.labels != q.labels:
-        raise AlphabetMismatch(f"label lists differ: {p.labels} vs {q.labels}")
-
-
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p||q) = sum_x p(x) ln(p(x)/q(x)) in nats."""
-    _require_same_alphabet(p, q)
-    return math.fsum(
-        a * math.log(a / b) for a, b in zip(p.probs, q.probs)
-    )
+    return HypothesisPair(p, q).d12
 
 
 def binary_kl(p: float, q: float) -> float:
@@ -150,16 +179,19 @@ def renyi_divergence(p: Pmf, q: Pmf, t: float) -> float:
     pair, which is the identity the rest of the package relies on. t = 1 is
     rejected; no continuous extension is attempted.
     """
-    _require_same_alphabet(p, q)
+    pair = HypothesisPair(q, p)
     t = float(t)
     if t == 1.0:
         raise DomainError("t = 1 is excluded (Renyi order must differ from 1)")
-    terms = [
-        t * math.log(a) + (1.0 - t) * math.log(b)
-        for a, b in zip(p.probs, q.probs)
-    ]
+    return log_mgf(pair, t) / (t - 1.0)
+
+
+def _tilt(pair: HypothesisPair, t: float):
+    """(m, weights) with ln P1(x)^(1-t) P2(x)^t = m + ln weights[x], m the
+    largest of those logs, so every weight lies in (0, 1]."""
+    terms = [(1.0 - t) * a + t * b for a, b in zip(pair.log_p1, pair.log_p2)]
     m = max(terms)
-    return (m + math.log(math.fsum(math.exp(a - m) for a in terms))) / (t - 1.0)
+    return m, [math.exp(v - m) for v in terms]
 
 
 def log_mgf(pair: HypothesisPair, t: float) -> float:
@@ -168,13 +200,8 @@ def log_mgf(pair: HypothesisPair, t: float) -> float:
     H is convex with H(0) = H(1) = 0; its Legendre transform is the rate
     function of the normalized log-likelihood ratio under P1.
     """
-    t = float(t)
-    terms = [
-        (1.0 - t) * math.log(a) + t * math.log(b)
-        for a, b in zip(pair.p1.probs, pair.p2.probs)
-    ]
-    m = max(terms)
-    return m + math.log(math.fsum(math.exp(a - m) for a in terms))
+    m, weights = _tilt(pair, float(t))
+    return m + math.log(math.fsum(weights))
 
 
 def llr_stats(pair: HypothesisPair, hypothesis_index: int) -> LlrStats:
@@ -186,24 +213,22 @@ def llr_stats(pair: HypothesisPair, hypothesis_index: int) -> LlrStats:
     sigma_sq the weighted second moment, gamma their ratio sigma_sq/d**2.
     """
     if hypothesis_index == 1:
-        base, other = pair.p1, pair.p2
+        weights, llr, mean = pair.p1.probs, pair.llr12, pair.d12
     elif hypothesis_index == 2:
-        base, other = pair.p2, pair.p1
+        weights, llr, mean = pair.p2.probs, pair.llr21, pair.d21
     else:
         raise DomainError(f"hypothesis_index must be 1 or 2, got {hypothesis_index}")
-    llr = [math.log(a / b) for a, b in zip(base.probs, other.probs)]
-    mean = math.fsum(w * y for w, y in zip(base.probs, llr))
     increments = tuple(y - mean for y in llr)
     d = max(abs(y) for y in increments)
     if d == 0.0:
         raise DegenerateIncrements(
             "identical hypotheses: all increments vanish, gamma is undefined"
         )
-    sigma_sq = math.fsum(w * y * y for w, y in zip(base.probs, increments))
+    sigma_sq = math.fsum(w * y * y for w, y in zip(weights, increments))
     return LlrStats(
         hypothesis_index=hypothesis_index,
         d=d,
         sigma_sq=sigma_sq,
         gamma=sigma_sq / (d * d),
-        increments=tuple(zip(base.probs, increments)),
+        increments=tuple(zip(weights, increments)),
     )

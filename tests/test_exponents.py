@@ -254,13 +254,25 @@ class TestCompareReport:
                 rel=1e-12)
             assert val >= 1.0
 
-    def test_annotation_only_on_canonical_input(self, ex1_pair, ex2_pair,
-                                                zero_th):
-        assert compare_report(ex1_pair, zero_th).note is not None
-        assert "0.0176" in compare_report(ex1_pair, zero_th).note
-        assert compare_report(ex2_pair, zero_th).note is None
-        flipped = HypothesisPair(ex1_pair.p2, ex1_pair.p1)
-        assert compare_report(flipped, zero_th).note is None
+    def test_one_geometry_per_report(self, monkeypatch, ex1_pair, zero_th):
+        import devex.exponents as ex
+        import devex.probdist as pd
+
+        calls = {"llr_stats": 0, "check_admissible": 0, "kl_divergence": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("llr_stats", "check_admissible"):
+            monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+        kl = counted("kl_divergence", pd.kl_divergence)
+        monkeypatch.setattr(pd, "kl_divergence", kl)
+        monkeypatch.setattr(ex, "kl_divergence", kl, raising=False)
+        compare_report(ex1_pair, zero_th)
+        assert calls == {"llr_stats": 2, "check_admissible": 1, "kl_divergence": 0}
 
     def test_ordering_on_random_instances(self):
         rng = np.random.default_rng(9)

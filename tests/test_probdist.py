@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,6 +91,43 @@ class TestHypothesisPair:
         assert ex1_pair.llr() == want
         assert ex1_pair.size() == 2
 
+    def test_table_entries(self):
+        pair = random_pair(np.random.default_rng(6), 5)
+        a, b = pair.p1.probs, pair.p2.probs
+        assert pair.log_p1 == tuple(math.log(x) for x in a)
+        assert pair.log_p2 == tuple(math.log(x) for x in b)
+        assert pair.llr12 == tuple(math.log(x / y) for x, y in zip(a, b))
+        assert pair.llr21 == tuple(math.log(y / x) for x, y in zip(a, b))
+        assert pair.d12 == kl_divergence(pair.p1, pair.p2)
+        assert pair.d21 == kl_divergence(pair.p2, pair.p1)
+        # built once per object, then read back
+        assert pair.llr12 is pair.llr12 and pair.llr() is pair.llr12
+
+    def test_table_is_outside_equality_and_hash(self, ex1_pair):
+        twin = HypothesisPair(ex1_pair.p1, ex1_pair.p2)
+        assert ex1_pair.d12 > 0.0 and ex1_pair.log_p2  # fill one side only
+        assert ex1_pair == twin
+        assert hash(ex1_pair) == hash(twin)
+        assert repr(ex1_pair) == repr(twin)
+        assert {ex1_pair: 1}[twin] == 1
+        assert ex1_pair != HypothesisPair(ex1_pair.p2, ex1_pair.p1)
+
+    def test_concurrent_first_reads_agree(self):
+        # cached_property takes no lock from Python 3.12 on, so first reads
+        # of one table may race; each racer computes the same value
+        rng = np.random.default_rng(7)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(200):
+                    pair = random_pair(rng, 6)
+                    want = llr_stats(HypothesisPair(pair.p1, pair.p2), 2)
+                    futures = [pool.submit(llr_stats, pair, 2) for _ in range(8)]
+                    assert all(f.result(timeout=30) == want for f in futures)
+        finally:
+            sys.setswitchinterval(old)
+
 
 class TestKlDivergence:
     def test_identity(self, ex1_pair):
@@ -108,6 +147,8 @@ class TestKlDivergence:
         q = make_pmf(["a", "b"], [0.4, 0.6])
         with pytest.raises(AlphabetMismatch):
             kl_divergence(p, q)
+        with pytest.raises(AlphabetMismatch):
+            renyi_divergence(p, q, 0.5)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(1)
@@ -177,6 +218,19 @@ class TestRenyiDivergence:
                 rhs = (t - 1.0) * renyi_divergence(pair.p2, pair.p1, t)
                 assert abs(lhs - rhs) < 1e-12
 
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+               st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k),
+               st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))),
+           st.floats(-5.0, 5.0).filter(lambda t: t != 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_log_mgf_relation_is_exact(self, raw, t):
+        # both sides run one log-sum-exp over the same terms; the relation
+        # is stated as a quotient because (x/y)*y need not round back to x
+        labels = [str(i) for i in range(len(raw[0]))]
+        p1, p2 = (make_pmf(labels, [x / sum(r) for x in r]) for r in raw)
+        pair = HypothesisPair(p1, p2)
+        assert renyi_divergence(p2, p1, t) == log_mgf(pair, t) / (t - 1.0)
+
 
 class TestLogMgf:
     def test_endpoints_vanish(self, ex1_pair, ex2_pair):
@@ -225,8 +279,11 @@ class TestLlrStats:
 
     def test_identical_hypotheses_rejected(self):
         p = make_pmf(["0", "1"], [0.5, 0.5])
-        with pytest.raises(DegenerateIncrements):
-            llr_stats(HypothesisPair(p, p), 1)
+        pair = HypothesisPair(p, p)
+        assert pair.d12 == pair.d21 == 0.0
+        for hyp in (1, 2):
+            with pytest.raises(DegenerateIncrements):
+                llr_stats(pair, hyp)
 
     def test_bad_index(self, ex1_pair):
         with pytest.raises(DomainError):
