@@ -15,7 +15,6 @@ keeps every exponent finite and positive.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import InadmissibleThresholds, NoConvergence, OutOfDomain
@@ -25,7 +24,6 @@ _T_TOL = 1e-12
 _MAX_ITER = 200
 _T_CAP = 64.0
 _ADMISSIBILITY_GUARD = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # component keys: (i, j) = (hypothesis of the bounding martingale, which
 # error probability: j=1 error-or-erasure, j=2 error-only)
@@ -164,49 +162,18 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
 
 
 def chernoff_information(pair: HypothesisPair):
-    """(-min_{t in [0,1]} H(t), argmin t*): the best single-threshold exponent.
+    """(C, t*): the Chernoff information and the minimizer of H on [0, 1].
 
-    Golden-section search on the convex H over [0, 1] to a t-tolerance of
-    1e-12, then one three-point parabolic refinement on well-separated
-    flanking points (the golden-section endpoints are too close together for
-    a stable parabola).
+    H(t) = ln sum P1^(1-t) P2^t is convex with H(0) = H(1) = 0, so
+    C = -min H = I(0), the rate function at r = 0 (Cover & Thomas, Thm
+    11.9.1). When ln(P2/P1) has no entry of each sign (identical hypotheses,
+    or ones that differ only by rounding) H is flat and (0.0, 0.5) is returned.
     """
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = log_mgf(pair, c)
-    fd = log_mgf(pair, d)
-    while b - a > _T_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = log_mgf(pair, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = log_mgf(pair, d)
-    t_star = 0.5 * (a + b)
-    f0 = log_mgf(pair, t_star)
-    # flank spacing must beat evaluation noise (~ulp(1) absolute from the
-    # log-sum-exp) even for near-identical pairs where H'' is tiny; the
-    # symmetric-spacing vertex formula needs the whole window inside [0, 1]
-    h = 1e-4
-    lo, hi = t_star - h, t_star + h
-    if lo > 0.0 and hi < 1.0:
-        f_lo = log_mgf(pair, lo)
-        f_hi = log_mgf(pair, hi)
-        curvature = f_hi - 2.0 * f0 + f_lo
-        if curvature > 0.0:
-            vertex = t_star + 0.5 * (h * (f_lo - f_hi)) / curvature
-            if lo < vertex < hi:
-                f_v = log_mgf(pair, vertex)
-                # a noise-level tie still adopts the vertex: it averages
-                # three well-separated points and sits closer to the true
-                # minimizer than the collapsed golden-section bracket
-                slack = 4.0 * sys.float_info.epsilon * (1.0 + abs(f0))
-                if f_v <= f0 + slack:
-                    t_star, f0 = vertex, min(f0, f_v)
-    return max(0.0, -f0), t_star
+    y = pair.llr21
+    if not min(y) < 0.0 < max(y):
+        return 0.0, 0.5
+    res = rate_function(pair, 0.0)
+    return res.value, res.t_star
 
 
 @dataclass(frozen=True)

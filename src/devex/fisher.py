@@ -21,9 +21,10 @@ from typing import Callable, Optional
 from .errors import DegenerateIncrements, DomainError, OutOfDomain
 from .exponents import (
     ZERO_THRESHOLDS,
-    azuma_lower_bounds,
+    _azuma_bounds,
+    _geometry,
+    _refined_bounds,
     chernoff_information,
-    refined_lower_bounds,
 )
 from .probdist import HypothesisPair, Pmf, make_pmf
 
@@ -145,13 +146,14 @@ def limit_ratios(family: ParametricFamily, theta: float, offsets) -> FisherLimit
     rows = []
     for h in offsets:
         pair = HypothesisPair(base, family.pmf_at(theta + h))
+        geo = _geometry(pair, ZERO_THRESHOLDS)
         h2 = h * h
         rows.append(RatioRow(
             h=h,
             divergence_ratio=pair.d12 / h2,
             chernoff_ratio=chernoff_information(pair)[0] / h2,
-            el_ratio=refined_lower_bounds(pair, ZERO_THRESHOLDS).pe1 / h2,
-            loosened_ratio=azuma_lower_bounds(pair, ZERO_THRESHOLDS).pe1 / h2,
+            el_ratio=_refined_bounds(geo).pe1 / h2,
+            loosened_ratio=_azuma_bounds(geo).pe1 / h2,
         ))
     hs = [row.h for row in rows]
     divergence_limit = _neville_at_zero(hs, [r.divergence_ratio for r in rows])

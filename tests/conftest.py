@@ -32,12 +32,14 @@ def zero_th():
 def random_pair(rng: np.random.Generator, size: int) -> HypothesisPair:
     """A strictly positive pair with some separation, for property tests."""
     labels = [str(i) for i in range(size)]
+    # entries average 1/size, so a fixed floor would never be met at large size
+    floor = min(0.01, 0.5 / size**2)
     while True:
         a = rng.uniform(0.02, 1.0, size=size)
         a /= a.sum()
         b = rng.uniform(0.02, 1.0, size=size)
         b /= b.sum()
-        if np.abs(a - b).max() > 1e-4 and a.min() > 0.01 and b.min() > 0.01:
+        if np.abs(a - b).max() > 1e-4 and a.min() > floor and b.min() > floor:
             return HypothesisPair(make_pmf(labels, list(a)), make_pmf(labels, list(b)))
 
 

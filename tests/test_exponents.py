@@ -144,6 +144,47 @@ class TestChernoffInformation:
             c2, _ = chernoff_information(HypothesisPair(pair.p2, pair.p1))
             assert abs(c1 - c2) <= 1e-12
 
+    def test_flat_pairs_skip_the_solver(self):
+        p = make_pmf(["0", "1"], [0.3, 0.7])
+        # equal up to one ulp in P(1): ln(P2/P1) is (0, 2.2e-16), never negative,
+        # so I(0) is outside rate_function's domain
+        q1 = make_pmf(["0", "1"], [0.41625354317375146, 0.5837464568262485])
+        q2 = make_pmf(["0", "1"], [0.41625354317375146, 0.5837464568262486])
+        for pair in (HypothesisPair(p, p), HypothesisPair(q1, q2),
+                     HypothesisPair(q2, q1)):
+            assert chernoff_information(pair) == (0.0, 0.5)
+        with pytest.raises(OutOfDomain):
+            rate_function(HypothesisPair(q1, q2), 0.0)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 16, 64])
+    def test_matches_mpmath_oracle(self, size):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(size)
+        with mpmath.workdps(50):
+            for _ in range(8):
+                pair = random_pair(rng, size)
+                c, t_star = chernoff_information(pair)
+                p1 = [mpmath.mpf(a) for a in pair.p1.probs]
+                y = [mpmath.log(mpmath.mpf(b) / a)
+                     for a, b in zip(p1, pair.p2.probs)]
+                # Newton on H'(t) = 0 with H'' the tilted variance; H' is
+                # strictly increasing, so the root it reaches is the only one
+                t = mpmath.mpf(0.5)
+                for _ in range(100):
+                    w = [a * mpmath.exp(t * v) for a, v in zip(p1, y)]
+                    m1 = mpmath.fsum(wi * v for wi, v in zip(w, y)) / mpmath.fsum(w)
+                    m2 = mpmath.fsum(wi * v * v for wi, v in zip(w, y)) / mpmath.fsum(w)
+                    step = m1 / (m2 - m1 * m1)
+                    t -= step
+                    if abs(step) < mpmath.mpf(10) ** -40:
+                        break
+                else:
+                    pytest.fail(f"oracle Newton did not converge for {pair}")
+                oracle_c = -mpmath.log(mpmath.fsum(
+                    a * mpmath.exp(t * v) for a, v in zip(p1, y)))
+                assert abs(t_star - float(t)) <= 1e-10
+                assert c == pytest.approx(float(oracle_c), rel=1e-10, abs=0.0)
+
 
 class TestExactExponents:
     def test_zero_threshold_collapses_to_chernoff(self, ex1_pair, zero_th):

@@ -161,6 +161,23 @@ class TestLimitRatios:
         want = kl_divergence(pair.p1, pair.p2) / 0.01 ** 2
         assert rep.rows[0].divergence_ratio == pytest.approx(want, rel=1e-12)
 
+    def test_one_geometry_per_offset(self, monkeypatch):
+        import devex.exponents as ex
+
+        calls = {"llr_stats": 0, "check_admissible": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+        limit_ratios(ternary_family(0.5), 1.0, OFFSETS)
+        assert calls == {"llr_stats": 2 * len(OFFSETS),
+                         "check_admissible": len(OFFSETS)}
+
     def test_flip_symmetry(self):
         # approaching from below gives the same divergence limit
         fam = bernoulli_family()
