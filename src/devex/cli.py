@@ -218,8 +218,8 @@ def cmd_simulate(args) -> dict:
         priors=(args.pi1, 1.0 - args.pi1),
     )
     result = simulate_test(pair, config, threads=args.threads)
-    log.info("simulated %d trials per hypothesis at n=%d on %d thread(s)",
-             args.trials, args.n, args.threads)
+    log.info("simulated %d trials per hypothesis at n=%d on one thread",
+             args.trials, args.n)
     exact = None
     if pair.size() == 2:
         tails = exact_binary_tail(pair, args.n, th)
@@ -232,8 +232,8 @@ def cmd_simulate(args) -> dict:
             "pe1": pi1 * tails.alpha1 + pi2 * tails.beta1,
             "pe2": pi1 * tails.alpha2 + pi2 * tails.beta2,
         }
-    # the thread count schedules work but cannot influence any number in
-    # the report, so it is not part of the echoed inputs
+    # the thread count is accepted but unused, so it is not part of the
+    # echoed inputs
     return {
         "command": "simulate",
         "inputs": {
@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-upper", type=float, default=0.0)
     p.add_argument("--lambda-lower", type=float, default=0.0)
     p.add_argument("--pi1", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; trials run on one thread")
     add_common(p)
     p.set_defaults(handler=cmd_simulate)
 

@@ -5,9 +5,9 @@ erasure thresholds, Wilson confidence intervals, an exact binomial tail
 oracle for binary alphabets, empirical exponent fits, and martingale traces.
 
 Determinism contract: every random quantity is derived from a counter-based
-Philox stream keyed by (seed, purpose, hypothesis, trial), so results are
-bit-identical regardless of how trials are scheduled across workers. Merging
-only ever adds integer counts, which is associative and order-free.
+Philox stream keyed by (seed, purpose, hypothesis, trial), so a trial's draws
+depend on nothing but its key. Trials run on one thread: the per-trial work
+holds the GIL, so worker threads cannot speed it up.
 
 Tie handling: the simulator and the exact oracle compute the log-likelihood
 ratio from symbol counts through one shared dot-product helper, so a sample
@@ -17,7 +17,6 @@ that lands exactly on a threshold classifies identically in both.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,10 +36,37 @@ _MAX_SEED = 2 ** 64
 _MAX_TRIALS = 2 ** 32 - 1
 
 
+def _key(seed: int, purpose: int, hypothesis: int, trial: int):
+    # uint64 throughout: a mixed Python-int list goes through float64 and
+    # drops the low bits of seeds >= 2**63
+    tag = (purpose << 48) | (hypothesis << 32) | trial
+    return np.array([seed, tag], dtype=np.uint64)
+
+
 def _trial_rng(seed: int, purpose: int, hypothesis: int, trial: int):
     """Philox generator for one (purpose, hypothesis, trial) work unit."""
-    tag = (purpose << 48) | (hypothesis << 32) | trial
-    return np.random.Generator(np.random.Philox(key=[seed, tag]))
+    return np.random.Generator(
+        np.random.Philox(key=_key(seed, purpose, hypothesis, trial)))
+
+
+def _trial_rngs(seed: int, purpose: int, hypothesis: int, trials: int):
+    """Yield the generator of each trial 0..trials-1 of one hypothesis.
+
+    A Philox stream is just (key, counter), so one generator is re-keyed
+    per trial instead of built per trial: each yield holds exactly the
+    draws `_trial_rng` gives that trial. The generator is only valid until
+    the next one is requested.
+    """
+    key = _key(seed, purpose, hypothesis, 0)
+    tag = int(key[1])
+    bitgen = np.random.Philox(key=key)
+    state = bitgen.state  # counter 0, empty buffer: a fresh stream
+    state["state"]["key"] = key
+    rng = np.random.Generator(bitgen)
+    for trial in range(trials):
+        key[1] = tag | trial
+        bitgen.state = state
+        yield rng
 
 
 def _llr_score(counts, llr) -> float:
@@ -180,6 +206,8 @@ def simulate_test(pair: HypothesisPair, config: SimConfig,
     with >= under hypothesis 2 (overlapping events at equality are counted
     in both, not partitioned). P_e estimates mix the two hypotheses by the
     priors.
+
+    Trials run on one thread; `threads` is validated but changes nothing.
     """
     check_admissible(pair, config.thresholds)
     if not isinstance(threads, int) or threads < 1:
@@ -190,12 +218,12 @@ def simulate_test(pair: HypothesisPair, config: SimConfig,
     p1 = np.asarray(pair.p1.probs)
     p2 = np.asarray(pair.p2.probs)
 
-    def run_chunk(args):
-        hyp, probs, lo, hi = args
+    totals = {}
+    for hyp, probs in ((1, p1), (2, p2)):
         wide = 0  # events against the wide threshold (alpha1 / beta1)
         narrow = 0
-        for trial in range(lo, hi):
-            rng = _trial_rng(config.seed, _PURPOSE_SIMULATE, hyp, trial)
+        for rng in _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
+                               config.trials):
             score = _llr_score(rng.multinomial(config.n, probs), llr)
             if hyp == 1:
                 wide += score <= t_upper
@@ -203,22 +231,7 @@ def simulate_test(pair: HypothesisPair, config: SimConfig,
             else:
                 wide += score >= t_lower
                 narrow += score >= t_upper
-        return hyp, wide, narrow
-
-    chunk = max(1, -(-config.trials // max(threads, 1)))
-    jobs = []
-    for hyp, probs in ((1, p1), (2, p2)):
-        for lo in range(0, config.trials, chunk):
-            jobs.append((hyp, probs, lo, min(lo + chunk, config.trials)))
-    totals = {1: [0, 0], 2: [0, 0]}
-    if threads == 1:
-        results = map(run_chunk, jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, jobs))
-    for hyp, wide, narrow in results:
-        totals[hyp][0] += wide
-        totals[hyp][1] += narrow
+        totals[hyp] = (wide, narrow)
 
     counts = {
         "alpha1": totals[1][0],
@@ -395,8 +408,8 @@ def sll_check(pair: HypothesisPair, hypothesis: int, n: int, trials: int,
     llr = np.array(pair.llr())
     probs = np.asarray(pair.p1.probs if hypothesis == 1 else pair.p2.probs)
     values = np.empty(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, _PURPOSE_SLLN, hypothesis, trial)
+    streams = _trial_rngs(seed, _PURPOSE_SLLN, hypothesis, trials)
+    for trial, rng in enumerate(streams):
         values[trial] = _llr_score(rng.multinomial(n, probs), llr) / n
     return SllResult(
         mean=float(values.mean()),

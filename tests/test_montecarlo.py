@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from devex import (
     simulate_test,
     sll_check,
 )
+from devex.montecarlo import _PURPOSE_SIMULATE, _PURPOSE_SLLN, _llr_score
 
 from conftest import random_pair
 
@@ -103,6 +105,91 @@ class TestSimulateTest:
         cfg = SimConfig(n=10, trials=100, seed=1, thresholds=zero_th)
         with pytest.raises(DomainError):
             simulate_test(ex1_pair, cfg, threads=0)
+
+
+def reference_scores(pair, purpose, hyp, n, trials, seed):
+    """Per-trial LLR scores, each trial on its own freshly built Philox."""
+    llr = np.array(pair.llr())
+    probs = np.asarray((pair.p1 if hyp == 1 else pair.p2).probs)
+    scores = []
+    for trial in range(trials):
+        tag = (purpose << 48) | (hyp << 32) | trial
+        key = np.array([seed, tag], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        scores.append(_llr_score(rng.multinomial(n, probs), llr))
+    return scores
+
+
+def reference_pair(k):
+    if k == 2:
+        return HypothesisPair(make_pmf(["a", "b"], [0.3, 0.7]),
+                              make_pmf(["a", "b"], [0.6, 0.4]))
+    return random_pair(np.random.default_rng(16), k)
+
+
+REFERENCE_SEEDS = (0, 8675309, 2 ** 63 - 1)
+
+
+class TestAgainstFreshStreams:
+    """Re-keyed streams give each trial the draws of a Philox built for it."""
+
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    @pytest.mark.parametrize("trials", [1, 777])
+    def test_simulate_counts(self, k, seed, trials):
+        pair = reference_pair(k)
+        n = 30
+        th = Thresholds(0.3 * pair.d12, -0.3 * pair.d21)
+        cfg = SimConfig(n=n, trials=trials, seed=seed, thresholds=th)
+        t_upper = n * th.lambda_upper
+        t_lower = n * th.lambda_lower
+        s1 = reference_scores(pair, _PURPOSE_SIMULATE, 1, n, trials, seed)
+        s2 = reference_scores(pair, _PURPOSE_SIMULATE, 2, n, trials, seed)
+        want = {
+            "alpha1": sum(s <= t_upper for s in s1),
+            "alpha2": sum(s <= t_lower for s in s1),
+            "beta1": sum(s >= t_lower for s in s2),
+            "beta2": sum(s >= t_upper for s in s2),
+        }
+        assert simulate_test(pair, cfg).counts == want
+
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    @pytest.mark.parametrize("hyp", [1, 2])
+    @pytest.mark.parametrize("trials", [2, 777])
+    def test_sll_check(self, k, seed, hyp, trials):
+        pair = reference_pair(k)
+        n = 30
+        values = np.array(
+            reference_scores(pair, _PURPOSE_SLLN, hyp, n, trials, seed)) / n
+        got = sll_check(pair, hyp, n=n, trials=trials, seed=seed)
+        assert got.mean == float(values.mean())
+        assert got.stderr == float(values.std(ddof=1) / math.sqrt(trials))
+
+
+class TestHighSeeds:
+    """Seeds at and above 2**63 key their streams with every bit."""
+
+    def test_adjacent_seeds_differ(self, ex1_pair, zero_th):
+        runs = [simulate_test(ex1_pair, SimConfig(
+                    n=20, trials=500, seed=seed, thresholds=zero_th)).counts
+                for seed in (2 ** 63 + 1, 2 ** 63 + 2)]
+        assert runs[0] != runs[1]
+        traces = [martingale_trace(ex1_pair, 1, 50, seed=seed).values
+                  for seed in (2 ** 63 + 1, 2 ** 63 + 2)]
+        assert traces[0] != traces[1]
+
+    def test_top_seed_is_exact_and_silent(self, ex1_pair, zero_th):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = simulate_test(ex1_pair, SimConfig(
+                n=20, trials=500, seed=2 ** 64 - 1, thresholds=zero_th))
+            sll = sll_check(ex1_pair, 1, n=20, trials=50, seed=2 ** 64 - 1)
+            martingale_trace(ex1_pair, 2, 20, seed=2 ** 64 - 1)
+        zero = simulate_test(ex1_pair, SimConfig(
+            n=20, trials=500, seed=0, thresholds=zero_th))
+        assert top.counts != zero.counts
+        assert sll != sll_check(ex1_pair, 1, n=20, trials=50, seed=0)
 
 
 class TestExactBinaryTail:
