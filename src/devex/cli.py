@@ -94,13 +94,8 @@ def cmd_exponents(args) -> dict:
     pair, raw = load_pair(args.pair_file)
     th = Thresholds(lambda_upper=args.lambda_upper, lambda_lower=args.lambda_lower)
     report = compare_report(pair, th)
-    results = {
-        "exact_alpha1": report.exact.alpha1,
-        "exact_alpha2": report.exact.alpha2,
-        "exact_beta1": report.exact.beta1,
-        "exact_beta2": report.exact.beta2,
-        "exact_pe1": report.exact.pe1,
-        "exact_pe2": report.exact.pe2,
+    results = {f"exact_{k}": v for k, v in vars(report.exact).items()}
+    results.update({
         "refined_lb_pe1": report.refined.pe1,
         "refined_lb_pe2": report.refined.pe2,
         "azuma_lb_pe1": report.azuma.pe1,
@@ -109,7 +104,7 @@ def cmd_exponents(args) -> dict:
         "gamma2": report.gammas[1],
         "gamma_inv1": report.gamma_inv[0],
         "gamma_inv2": report.gamma_inv[1],
-    }
+    })
     results.update(_component_items("refined_lb", report.refined.components))
     results.update(_component_items("azuma_lb", report.azuma.components))
     results.update(_component_items("epsilon", report.epsilons))
@@ -119,9 +114,7 @@ def cmd_exponents(args) -> dict:
         "command": "exponents",
         "inputs": {
             "pair_file": args.pair_file,
-            "alphabet": raw["alphabet"],
-            "p1": raw["p1"],
-            "p2": raw["p2"],
+            **{f: raw[f] for f in PAIR_FIELDS},
             "lambda_upper": args.lambda_upper,
             "lambda_lower": args.lambda_lower,
         },
@@ -195,15 +188,6 @@ def cmd_fisher(args) -> dict:
     }
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "value": est.value,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "empirical_exponent": est.empirical_exponent,
-    }
-
-
 def cmd_simulate(args) -> dict:
     # the only subcommand that needs numpy, so only it loads it
     from .montecarlo import SimConfig, exact_binary_tail, simulate_test
@@ -224,23 +208,15 @@ def cmd_simulate(args) -> dict:
     if pair.size() == 2:
         tails = exact_binary_tail(pair, args.n, th)
         pi1, pi2 = config.priors
-        exact = {
-            "alpha1": tails.alpha1,
-            "alpha2": tails.alpha2,
-            "beta1": tails.beta1,
-            "beta2": tails.beta2,
-            "pe1": pi1 * tails.alpha1 + pi2 * tails.beta1,
-            "pe2": pi1 * tails.alpha2 + pi2 * tails.beta2,
-        }
+        exact = dict(vars(tails), pe1=pi1 * tails.alpha1 + pi2 * tails.beta1,
+                     pe2=pi1 * tails.alpha2 + pi2 * tails.beta2)
     # the thread count is accepted but unused, so it is not part of the
     # echoed inputs
     return {
         "command": "simulate",
         "inputs": {
             "pair_file": args.pair_file,
-            "alphabet": raw["alphabet"],
-            "p1": raw["p1"],
-            "p2": raw["p2"],
+            **{f: raw[f] for f in PAIR_FIELDS},
             "n": args.n,
             "trials": args.trials,
             "seed": args.seed,
@@ -249,12 +225,8 @@ def cmd_simulate(args) -> dict:
             "pi1": args.pi1,
         },
         "results": {
-            "alpha1": _estimate_dict(result.alpha1),
-            "alpha2": _estimate_dict(result.alpha2),
-            "beta1": _estimate_dict(result.beta1),
-            "beta2": _estimate_dict(result.beta2),
-            "pe1": _estimate_dict(result.pe1),
-            "pe2": _estimate_dict(result.pe2),
+            **{k: dict(vars(getattr(result, k)))
+               for k in ("alpha1", "alpha2", "beta1", "beta2", "pe1", "pe2")},
             "counts": dict(result.counts),
             "exact": exact,
         },

@@ -10,8 +10,8 @@ exactly invariant under a relabeling that permutes both distributions the
 same way.
 
 HypothesisPair holds the per-pair LLR table (ln P1, ln P2, both log ratios,
-both divergences), computed at most once per pair object; every layer reads
-it instead of taking per-symbol logs itself.
+both divergences, both LlrStats), each computed at most once per pair
+object; every layer reads it instead of taking per-symbol logs itself.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class HypothesisPair:
     """Two hypotheses P1, P2 sharing one alphabet (same labels, same order),
     and their per-symbol LLR table in nats: log_p1 = ln P1(x), log_p2 =
     ln P2(x), llr12 = ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), and the
-    divergences d12 = D(P1||P2), d21 = D(P2||P1). Each table entry is
+    divergences d12 = D(P1||P2), d21 = D(P2||P1), and the increment
+    statistics stats1, stats2 of llr_stats. Each table entry is
     computed on first access and kept on the object; equality, hashing and
     repr see only p1 and p2.
     """
@@ -122,6 +123,14 @@ class HypothesisPair:
     @cached_property
     def d21(self) -> float:
         return math.fsum(b * y for b, y in zip(self.p2.probs, self.llr21))
+
+    @cached_property
+    def stats1(self) -> LlrStats:
+        return _increment_stats(1, self.p1.probs, self.llr12, self.d12)
+
+    @cached_property
+    def stats2(self) -> LlrStats:
+        return _increment_stats(2, self.p2.probs, self.llr21, self.d21)
 
     def llr(self) -> tuple[float, ...]:
         """Per-symbol log-likelihood ratio ln(P1(x)/P2(x)) in nats."""
@@ -188,8 +197,9 @@ def renyi_divergence(p: Pmf, q: Pmf, t: float) -> float:
 
 def _tilt(pair: HypothesisPair, t: float):
     """(m, weights) with ln P1(x)^(1-t) P2(x)^t = m + ln weights[x], m the
-    largest of those logs, so every weight lies in (0, 1]."""
-    terms = [(1.0 - t) * a + t * b for a, b in zip(pair.log_p1, pair.log_p2)]
+    largest of those logs, so every weight lies in (0, 1]. Each log is taken
+    as ln P1 + t ln(P2/P1), which skips rounding 1 - t and ln P2 - ln P1."""
+    terms = [a + t * y for a, y in zip(pair.log_p1, pair.llr21)]
     m = max(terms)
     return m, [math.exp(v - m) for v in terms]
 
@@ -211,13 +221,16 @@ def llr_stats(pair: HypothesisPair, hypothesis_index: int) -> LlrStats:
     weighted by P1(x); under hypothesis 2 they are ln(P2(x)/P1(x)) -
     D(P2||P1) weighted by P2(x). d is the largest absolute increment,
     sigma_sq the weighted second moment, gamma their ratio sigma_sq/d**2.
+    Computed once per pair and hypothesis and kept on the pair.
     """
     if hypothesis_index == 1:
-        weights, llr, mean = pair.p1.probs, pair.llr12, pair.d12
-    elif hypothesis_index == 2:
-        weights, llr, mean = pair.p2.probs, pair.llr21, pair.d21
-    else:
-        raise DomainError(f"hypothesis_index must be 1 or 2, got {hypothesis_index}")
+        return pair.stats1
+    if hypothesis_index == 2:
+        return pair.stats2
+    raise DomainError(f"hypothesis_index must be 1 or 2, got {hypothesis_index}")
+
+
+def _increment_stats(index, weights, llr, mean) -> LlrStats:
     increments = tuple(y - mean for y in llr)
     d = max(abs(y) for y in increments)
     if d == 0.0:
@@ -225,10 +238,6 @@ def llr_stats(pair: HypothesisPair, hypothesis_index: int) -> LlrStats:
             "identical hypotheses: all increments vanish, gamma is undefined"
         )
     sigma_sq = math.fsum(w * y * y for w, y in zip(weights, increments))
-    return LlrStats(
-        hypothesis_index=hypothesis_index,
-        d=d,
-        sigma_sq=sigma_sq,
-        gamma=sigma_sq / (d * d),
-        increments=tuple(zip(weights, increments)),
-    )
+    return LlrStats(hypothesis_index=index, d=d, sigma_sq=sigma_sq,
+                    gamma=sigma_sq / (d * d),
+                    increments=tuple(zip(weights, increments)))

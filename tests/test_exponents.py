@@ -23,7 +23,50 @@ from devex import (
     refined_lower_bounds,
 )
 
+from devex.exponents import _T_CAP
 from conftest import random_pair
+
+
+# r at these fractions of the open range of ln(P2/P1): both ends, where H''
+# is tiny and t* is large, and the middle
+EDGE_FRACTIONS = (1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6)
+EDGE_SIZES = (2, 3, 4, 8, 64)
+
+
+def edge_cases(size, count=6):
+    """Seeded (pair, r) cases with r near the ends of the range."""
+    rng = np.random.default_rng(size)
+    for _ in range(count):
+        pair = random_pair(rng, size)
+        lo, hi = min(pair.llr21), max(pair.llr21)
+        for f in EDGE_FRACTIONS:
+            yield pair, lo + f * (hi - lo)
+
+
+def mp_rate(mpmath, pair, r):
+    """(I(r), t*) at 50 digits: Newton on H'(t) = r, bisecting whenever a
+    step leaves the sign-checked bracket [-1000, 1000]."""
+    with mpmath.workdps(50):
+        p1 = [mpmath.mpf(a) for a in pair.p1.probs]
+        y = [mpmath.log(mpmath.mpf(b) / a) for a, b in zip(p1, pair.p2.probs)]
+        r = mpmath.mpf(r)
+        lo, hi, t = mpmath.mpf(-1000), mpmath.mpf(1000), mpmath.mpf(0)
+        for _ in range(1000):
+            w = [a * mpmath.exp(t * v) for a, v in zip(p1, y)]
+            s = mpmath.fsum(w)
+            m1 = mpmath.fsum(wi * v for wi, v in zip(w, y)) / s
+            m2 = mpmath.fsum(wi * (v - m1) ** 2 for wi, v in zip(w, y)) / s
+            if m1 < r:
+                lo = t
+            else:
+                hi = t
+            nxt = t - (m1 - r) / m2
+            if not lo < nxt < hi:
+                nxt = (lo + hi) / 2
+            if abs(nxt - t) < mpmath.mpf(10) ** -40:
+                return float(t * r - mpmath.log(s)), float(t)
+            t = nxt
+        raise AssertionError(f"oracle did not converge for r = {r}")
 
 
 def grid_rate(pair, r, span=5.0, step=1e-5):
@@ -184,6 +227,62 @@ class TestChernoffInformation:
                     a * mpmath.exp(t * v) for a, v in zip(p1, y)))
                 assert abs(t_star - float(t)) <= 1e-10
                 assert c == pytest.approx(float(oracle_c), rel=1e-10, abs=0.0)
+
+
+class TestRateFunctionEdges:
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_matches_mpmath_oracle_near_range_ends(self, size):
+        mpmath = pytest.importorskip("mpmath")
+        returned = 0
+        for pair, r in edge_cases(size):
+            want, t_star = mp_rate(mpmath, pair, r)
+            if abs(t_star) > _T_CAP:
+                with pytest.raises(OutOfDomain):
+                    rate_function(pair, r)
+                continue
+            if abs(t_star) > _T_CAP - 1.0:
+                # the bracket grows to -63 on the left and 64 on the right
+                continue
+            res = rate_function(pair, r)
+            returned += 1
+            assert res.value == pytest.approx(want, rel=1e-10, abs=0.0), (pair, r)
+            assert res.t_star == pytest.approx(t_star, rel=0.0, abs=1e-8), (pair, r)
+        assert returned >= 20
+
+
+class TestTiltBudget:
+    @pytest.fixture
+    def tilts(self, monkeypatch):
+        import devex.exponents as ex
+
+        count = [0]
+        inner = ex._tilt
+
+        def counted(*args):
+            count[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(ex, "_tilt", counted)
+        return count
+
+    def test_chernoff_at_k64(self, tilts):
+        # bisection to the same tolerance took 43 tilts per call
+        rng = np.random.default_rng(64)
+        for _ in range(8):
+            pair = random_pair(rng, 64)
+            tilts[0] = 0
+            chernoff_information(pair)
+            assert 1 <= tilts[0] <= 12
+
+    def test_edge_cases_within_bisection_count(self, tilts):
+        for size in EDGE_SIZES:
+            for pair, r in edge_cases(size):
+                tilts[0] = 0
+                try:
+                    rate_function(pair, r)
+                except OutOfDomain:
+                    continue
+                assert tilts[0] <= 45, (pair, r)
 
 
 class TestExactExponents:

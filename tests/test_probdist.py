@@ -281,13 +281,25 @@ class TestLlrStats:
         p = make_pmf(["0", "1"], [0.5, 0.5])
         pair = HypothesisPair(p, p)
         assert pair.d12 == pair.d21 == 0.0
-        for hyp in (1, 2):
+        for hyp in (1, 2, 1, 2):    # a failed build is not kept: every call raises
             with pytest.raises(DegenerateIncrements):
                 llr_stats(pair, hyp)
 
     def test_bad_index(self, ex1_pair):
-        with pytest.raises(DomainError):
-            llr_stats(ex1_pair, 3)
+        llr_stats(ex1_pair, 1)
+        for bad in (0, 3, -1):
+            with pytest.raises(DomainError):
+                llr_stats(ex1_pair, bad)
+
+    def test_kept_on_the_pair(self):
+        pair = random_pair(np.random.default_rng(11), 5)
+        s1, s2 = llr_stats(pair, 1), llr_stats(pair, 2)
+        assert s1 is pair.stats1 is llr_stats(pair, 1)
+        assert s2 is pair.stats2 is llr_stats(pair, 2)
+        twin = HypothesisPair(pair.p1, pair.p2)
+        assert repr(llr_stats(twin, 1)) == repr(s1)
+        assert repr(llr_stats(twin, 2)) == repr(s2)
+        assert pair == twin and hash(pair) == hash(twin)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(4)
