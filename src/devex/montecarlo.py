@@ -9,15 +9,19 @@ Philox stream keyed by (seed, purpose, hypothesis, trial), so a trial's draws
 depend on nothing but its key. Trials run on one thread: the per-trial work
 holds the GIL, so worker threads cannot speed it up.
 
-Tie handling: the simulator and the exact oracle compute the log-likelihood
-ratio from symbol counts through one shared dot-product helper, so a sample
-that lands exactly on a threshold classifies identically in both.
+Tie handling: the simulator and the exact oracle score blocks of count rows
+through one shared scorer, `_llr_scores`. Its matrix product may round
+differently from the per-row `np.dot` of `_llr_score`, so it bounds each
+row's rounding and rescores with `_llr_score` every row within that bound of
+a threshold. Every <= / >= decision, ties included, is therefore the per-row
+`np.dot`'s, and a sample on a threshold classifies identically in both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -34,6 +38,13 @@ _PURPOSE_SLLN = 2
 
 _MAX_SEED = 2 ** 64
 _MAX_TRIALS = 2 ** 32 - 1
+# trials whose counts simulate_test holds and scores at once
+_BLOCK_TRIALS = 1024
+_UNIT_ROUNDOFF = 2.0 ** -53  # binary64
+
+# ln k! for k = 0, 1, ..., len - 1, each as math.lgamma(k + 1) gives it;
+# grown on demand by _log_factorials and never written in place
+_log_factorial_table = np.empty(0)
 
 
 def _key(seed: int, purpose: int, hypothesis: int, trial: int):
@@ -70,12 +81,51 @@ def _trial_rngs(seed: int, purpose: int, hypothesis: int, trials: int):
 
 
 def _llr_score(counts, llr) -> float:
-    """L as a function of symbol counts.
+    """L as a function of one row of symbol counts.
 
-    The single reduction shared by simulate_test and exact_binary_tail so
-    float ties against n*lambda classify identically in both.
+    The reference reduction: `_llr_scores` falls back to it for every row
+    whose score lies too close to a threshold for its faster product to
+    decide, and sll_check uses it for every trial.
     """
     return float(np.dot(np.asarray(counts, dtype=np.float64), llr))
+
+
+def _llr_scores(counts, llr, cuts):
+    """L for each row of a (rows, K) count matrix, in one matrix product.
+
+    Each returned score lies on the same side of every cut in `cuts`, or on
+    it, as `_llr_score` of that row. A K-term dot product rounds by at most
+    gamma_K * sum |c_i l_i|, gamma_K = K u / (1 - K u), in any summation
+    order, FMA included (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), and the counts convert exactly. So a
+    fast score farther than twice that from a cut classifies as
+    `_llr_score` does; the slack doubles it again, with K + 2 for K, to
+    cover the rounding of the bound itself. Rows inside the slack of a cut
+    are rescored by `_llr_score`.
+    """
+    rows = np.asarray(counts, dtype=np.float64)
+    scores = rows @ llr
+    slack = (4 * (llr.size + 2) * _UNIT_ROUNDOFF) * (rows @ np.abs(llr))
+    near = np.zeros(scores.shape, dtype=bool)
+    for cut in cuts:
+        near |= np.abs(scores - cut) <= slack
+    for row in np.flatnonzero(near):
+        scores[row] = _llr_score(counts[row], llr)
+    return scores
+
+
+def _log_factorials(n: int):
+    """ln k! for k = 0..n, read-only, bit for bit math.lgamma(k + 1)."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        start = table.size
+        more = np.fromiter(map(math.lgamma, range(start + 1, n + 2)), float,
+                           n + 1 - start)
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[:n + 1]
 
 
 def _check_seed(seed: int):
@@ -222,15 +272,18 @@ def simulate_test(pair: HypothesisPair, config: SimConfig,
     for hyp, probs in ((1, p1), (2, p2)):
         wide = 0  # events against the wide threshold (alpha1 / beta1)
         narrow = 0
-        for rng in _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
-                               config.trials):
-            score = _llr_score(rng.multinomial(config.n, probs), llr)
+        streams = _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
+                              config.trials)
+        for _ in range(0, config.trials, _BLOCK_TRIALS):
+            counts = np.array([rng.multinomial(config.n, probs)
+                               for rng in islice(streams, _BLOCK_TRIALS)])
+            scores = _llr_scores(counts, llr, (t_upper, t_lower))
             if hyp == 1:
-                wide += score <= t_upper
-                narrow += score <= t_lower
+                wide += int(np.count_nonzero(scores <= t_upper))
+                narrow += int(np.count_nonzero(scores <= t_lower))
             else:
-                wide += score >= t_lower
-                narrow += score >= t_upper
+                wide += int(np.count_nonzero(scores >= t_lower))
+                narrow += int(np.count_nonzero(scores >= t_upper))
         totals[hyp] = (wide, narrow)
 
     counts = {
@@ -273,31 +326,32 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     check_admissible(pair, th)
     llr = np.array(pair.llr())
     ks = np.arange(n + 1)
-    scores = np.array([_llr_score((n - k, k), llr) for k in ks])
     t_upper = n * th.lambda_upper
     t_lower = n * th.lambda_lower
+    scores = _llr_scores(np.stack((n - ks, ks), axis=1), llr,
+                         (t_upper, t_lower))
     # ln C(n, k), from lg[k] = ln k!
-    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    log_binom = math.lgamma(n + 1) - lg - lg[::-1]
+    lg = _log_factorials(n)
+    log_binom = lg[n] - lg - lg[::-1]
 
-    def tail(probs, logs, mask) -> float:
+    # ln Bin(k; n, P(second symbol)) under each hypothesis
+    logpmf1 = (log_binom + ks * pair.log_p1[1]
+               + (n - ks) * math.log1p(-pair.p1.probs[1]))
+    logpmf2 = (log_binom + ks * pair.log_p2[1]
+               + (n - ks) * math.log1p(-pair.p2.probs[1]))
+
+    def tail(logpmf, mask) -> float:
         if not mask.any():
             return 0.0
-        logpmf = (
-            log_binom
-            + ks * logs[1]
-            + (n - ks) * math.log1p(-probs[1])
-        )
         selected = logpmf[mask]
         m = selected.max()
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
-    p1, p2 = pair.p1.probs, pair.p2.probs
     return TailProbabilities(
-        alpha1=tail(p1, pair.log_p1, scores <= t_upper),
-        alpha2=tail(p1, pair.log_p1, scores <= t_lower),
-        beta1=tail(p2, pair.log_p2, scores >= t_lower),
-        beta2=tail(p2, pair.log_p2, scores >= t_upper),
+        alpha1=tail(logpmf1, scores <= t_upper),
+        alpha2=tail(logpmf1, scores <= t_lower),
+        beta1=tail(logpmf2, scores >= t_lower),
+        beta2=tail(logpmf2, scores >= t_upper),
     )
 
 

@@ -1,10 +1,17 @@
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import devex
 from devex import (
     DomainError,
     Estimate,
@@ -22,7 +29,14 @@ from devex import (
     simulate_test,
     sll_check,
 )
-from devex.montecarlo import _PURPOSE_SIMULATE, _PURPOSE_SLLN, _llr_score
+from devex import montecarlo
+from devex.montecarlo import (
+    _BLOCK_TRIALS,
+    _PURPOSE_SIMULATE,
+    _PURPOSE_SLLN,
+    _llr_score,
+    _llr_scores,
+)
 
 from conftest import random_pair
 
@@ -135,7 +149,7 @@ class TestAgainstFreshStreams:
 
     @pytest.mark.parametrize("k", [2, 16])
     @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
-    @pytest.mark.parametrize("trials", [1, 777])
+    @pytest.mark.parametrize("trials", [1, 777, 2 * _BLOCK_TRIALS + 1])
     def test_simulate_counts(self, k, seed, trials):
         pair = reference_pair(k)
         n = 30
@@ -165,6 +179,155 @@ class TestAgainstFreshStreams:
         got = sll_check(pair, hyp, n=n, trials=trials, seed=seed)
         assert got.mean == float(values.mean())
         assert got.stderr == float(values.std(ddof=1) / math.sqrt(trials))
+
+
+def classify(scores, cuts):
+    scores = np.asarray(scores)
+    return [(scores <= c, scores >= c) for c in cuts]
+
+
+class TestLlrScores:
+    """The block scorer classifies every row as per-row _llr_score does."""
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 1024])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_cuts_on_and_beside_row_scores(self, k, lattice):
+        rng = np.random.default_rng(k)
+        if lattice:
+            # multiples of one step: many rows of equal exact score that the
+            # two reductions round apart, as ex1's +-ln 1.5 does
+            llr = np.log(1.5) * rng.integers(-3, 4, size=k)
+        else:
+            llr = rng.normal(size=k)
+        counts = rng.multinomial(10 * k, np.full(k, 1.0 / k), size=300)
+        exact = np.array([_llr_score(row, llr) for row in counts])
+        for row in rng.choice(len(counts), size=20, replace=False):
+            on = exact[row]
+            cuts = (np.nextafter(on, -np.inf), on, np.nextafter(on, np.inf))
+            for cut_pair in ((cuts[0], cuts[2]), (on, on), (cuts[2], on)):
+                got = _llr_scores(counts, llr, cut_pair)
+                for (le, ge), (want_le, want_ge) in zip(
+                        classify(got, cut_pair), classify(exact, cut_pair)):
+                    np.testing.assert_array_equal(le, want_le)
+                    np.testing.assert_array_equal(ge, want_ge)
+
+
+def reference_binary_tail(pair, n, th):
+    """exact_binary_tail as first written: one _llr_score call per k and
+    ln k! from math.lgamma on every call."""
+    llr = np.array(pair.llr())
+    ks = np.arange(n + 1)
+    scores = np.array([_llr_score((n - k, k), llr) for k in ks])
+    t_upper = n * th.lambda_upper
+    t_lower = n * th.lambda_lower
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_binom = math.lgamma(n + 1) - lg - lg[::-1]
+
+    def tail(probs, logs, mask):
+        if not mask.any():
+            return 0.0
+        logpmf = (log_binom + ks * logs[1]
+                  + (n - ks) * math.log1p(-probs[1]))
+        selected = logpmf[mask]
+        m = selected.max()
+        return float(math.exp(m + math.log(np.exp(selected - m).sum())))
+
+    p1, p2 = pair.p1.probs, pair.p2.probs
+    return montecarlo.TailProbabilities(
+        alpha1=tail(p1, pair.log_p1, scores <= t_upper),
+        alpha2=tail(p1, pair.log_p1, scores <= t_lower),
+        beta1=tail(p2, pair.log_p2, scores >= t_lower),
+        beta2=tail(p2, pair.log_p2, scores >= t_upper),
+    )
+
+
+def lattice_thresholds(pair, n, rng, count):
+    """Up to `count` thresholds lambda inside the admissible window with
+    n*lambda exactly equal to a lattice score L(k)."""
+    llr = np.array(pair.llr())
+    inside = [k for k in range(n + 1)
+              if -pair.d21 + 1e-9 < _llr_score((n - k, k), llr) / n
+              < pair.d12 - 1e-9]
+    out = []
+    for k in rng.permutation(inside)[:count]:
+        score = _llr_score((n - k, k), llr)
+        lam = score / n
+        for _ in range(8):
+            if n * lam == score:
+                out.append(lam)
+                break
+            lam = float(np.nextafter(lam, np.inf if n * lam < score else -np.inf))
+    return out
+
+
+class TestExactBinaryTailMatchesReference:
+    def test_repr_identical_on_lattice_ties(self, ex1_pair):
+        # at n = 1 every lattice score lies outside the admissible window
+        rng = np.random.default_rng(10)
+        pairs = [ex1_pair] + [random_pair(rng, 2) for _ in range(5)]
+        ties = 0
+        for pair, n in itertools.product(pairs, (1, 2, 7, 250, 4000)):
+            lams = lattice_thresholds(pair, n, rng, 6)
+            ths = [Thresholds(0.0, 0.0),
+                   Thresholds(0.3 * pair.d12, -0.3 * pair.d21)]
+            ths += [Thresholds(lam, lam) for lam in lams]
+            ths += [Thresholds(max(a, b), min(a, b))
+                    for a, b in zip(lams[::2], lams[1::2])]
+            ties += len(lams)
+            for th in ths:
+                assert (repr(exact_binary_tail(pair, n, th))
+                        == repr(reference_binary_tail(pair, n, th))), (pair, th)
+        assert ties >= 60
+
+    def test_llr_score_calls_at_n_4000(self, ex1_pair, zero_th, monkeypatch):
+        calls = []
+        real = montecarlo._llr_score
+        monkeypatch.setattr(montecarlo, "_llr_score",
+                            lambda c, l: calls.append(tuple(c)) or real(c, l))
+        pair = reference_pair(2)
+        th = Thresholds(0.3 * pair.d12, -0.3 * pair.d21)
+        exact_binary_tail(pair, 4000, th)
+        assert len(calls) <= 4  # the per-k form made 4001
+        calls.clear()
+        # ex1 at zero thresholds: only k = n/2 lies on the cut
+        exact_binary_tail(ex1_pair, 4000, zero_th)
+        assert calls == [(2000, 2000)]
+
+    def test_log_factorial_table(self):
+        # a fresh interpreter, so the lazily grown ln k! table starts empty
+        child = (
+            "import json, math, sys\n"
+            "import devex.montecarlo as mc\n"
+            "from devex import HypothesisPair, Thresholds, make_pmf\n"
+            "pair = HypothesisPair(make_pmf(['a', 'b'], [0.3, 0.7]),\n"
+            "                      make_pmf(['a', 'b'], [0.6, 0.4]))\n"
+            "th = Thresholds(0.1, -0.1)\n"
+            "sizes = [mc._log_factorial_table.size]\n"
+            "tails = {}\n"
+            "for n in json.loads(sys.argv[1]):\n"
+            "    tails[n] = repr(mc.exact_binary_tail(pair, n, th))\n"
+            "    sizes.append(mc._log_factorial_table.size)\n"
+            "table = mc._log_factorial_table\n"
+            "exact = all(float(v).hex() == math.lgamma(k + 1).hex()\n"
+            "            for k, v in enumerate(table))\n"
+            "print(json.dumps({'tails': tails, 'sizes': sizes, 'exact': exact}))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(devex.__file__).resolve().parents[1]))
+
+        def run(ns):
+            proc = subprocess.run([sys.executable, "-c", child, json.dumps(ns)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env=env)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        down = run([4000, 250])
+        alone = run([250, 7])
+        assert down["sizes"] == [0, 4001, 4001]
+        assert alone["sizes"] == [0, 251, 251]
+        assert down["exact"] and alone["exact"]
+        assert down["tails"]["250"] == alone["tails"]["250"]
 
 
 class TestHighSeeds:
