@@ -14,6 +14,7 @@ results stream stays pure JSON (or CSV under --csv). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -129,7 +130,7 @@ def cmd_bounds(args) -> dict:
     sided = ONE_SIDED if args.sided == "one" else TWO_SIDED
     delta = params.delta(args.alpha)
     refined = refined_bound(params, args.n, args.alpha, sided)
-    azuma = azuma_bound([args.d] * args.n, args.alpha * args.n)
+    azuma = azuma_bound(itertools.repeat(args.d, args.n), args.alpha * args.n)
     floor = quad_cubic_floor(delta, params.gamma) if delta <= 1.0 else None
     return {
         "command": "bounds",

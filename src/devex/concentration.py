@@ -76,16 +76,21 @@ def azuma_bound(jump_bounds, r: float) -> float:
     return 2.0 * math.exp(-r * r / (2.0 * total))
 
 
+def refined_exponent(delta: float, gamma: float) -> float:
+    """D((delta+gamma)/(1+gamma) || gamma/(1+gamma)), the exponent of the
+    refined bound at normalized deviation delta = alpha/d and gamma =
+    sigma_sq/d**2; infinite for delta > 1, an impossible deviation."""
+    if delta > 1.0:
+        return math.inf
+    return binary_kl((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
+
+
 def refined_bound(params: MartingaleParams, n: int, alpha: float,
                   sided: str = ONE_SIDED) -> float:
     """Variance-aware refinement of Azuma's bound.
 
     Bounds the probability that an n-step martingale with per-step constants
-    `params` deviates by at least alpha*n. With delta = alpha/d and
-    gamma = sigma_sq/d**2 the bound is
-
-        c * exp(-n * D((delta+gamma)/(1+gamma) || gamma/(1+gamma)))
-
+    `params` deviates by at least alpha*n by c * exp(-n * refined_exponent),
     where c = 2 for the two-sided event and c = 1 for one-sided. delta > 1
     is an impossible deviation and yields exactly 0.
     """
@@ -97,12 +102,7 @@ def refined_bound(params: MartingaleParams, n: int, alpha: float,
         c = 2.0
     else:
         raise DomainError(f"sided must be {ONE_SIDED!r} or {TWO_SIDED!r}")
-    delta = params.delta(alpha)
-    if delta > 1.0:
-        return 0.0
-    gamma = params.gamma
-    exponent = binary_kl((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
-    return c * math.exp(-n * exponent)
+    return c * math.exp(-n * refined_exponent(params.delta(alpha), params.gamma))
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def quad_cubic_floor(delta: float, gamma: float) -> float:
 
         delta**2/(2 gamma) - delta**3/(6 gamma**2 (1+gamma))
 
-    Always <= binary_kl((delta+gamma)/(1+gamma), gamma/(1+gamma)); may go
-    negative for small gamma, where it is simply a weak floor.
+    Always <= refined_exponent(delta, gamma); may go negative for small
+    gamma, where it is simply a weak floor.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta = {delta} outside [0, 1]")

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .concentration import refined_exponent
 from .errors import InadmissibleThresholds, NoConvergence, OutOfDomain
-from .probdist import HypothesisPair, _tilt, binary_kl, llr_stats
+from .probdist import HypothesisPair, llr_stats, tilted_moments
 
 _T_TOL = 1e-12
 _MAX_ITER = 200
@@ -111,31 +112,14 @@ def check_admissible(pair: HypothesisPair, th: Thresholds):
     return d12, d21
 
 
-def _tilted_moments(pair: HypothesisPair, t: float):
-    """One tilt: (H(t), H'(t), H''(t)), H' and H'' the mean and variance of
-    ln(P2/P1) under the tilted distribution. The variance only sizes a
-    Newton step, so a plain sum is enough for it."""
-    m, weights = _tilt(pair, t)
-    y = pair.llr21
-    s = math.fsum(weights)
-    mean = math.fsum(w * v for w, v in zip(weights, y)) / s
-    var = sum(w * (v - mean) ** 2 for w, v in zip(weights, y)) / s
-    return m + math.log(s), mean, var
-
-
-def _tilted_mean(pair: HypothesisPair, t: float) -> float:
-    """H'(t): mean of ln(P2/P1) under the tilted distribution at t."""
-    return _tilted_moments(pair, t)[1]
-
-
 def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     """I(r) = sup_t (t*r - H(t)), the rate function of L/n under P1.
 
     t* solves H'(t) = r by safeguarded Newton in a sign-checked bracket:
     [0, 1], as H'(0) = -D(P1||P2) and H'(1) = D(P2||P1), grown outward by
     doubling steps when r lies outside them. Newton runs on ln(H' - lo) -
-    ln(hi - H') = ln(r - lo) - ln(hi - r), [lo, hi] the range of ln(P2/P1),
-    with H'' the tilted variance; that form is linear in t for binary
+    ln(hi - H') = ln(r - lo) - ln(hi - r), [lo, hi] = pair.llr21_range, with
+    H' and H'' from tilted_moments; that form is linear in t for binary
     alphabets and well scaled near the ends of the range. Each step aims
     past the root by twice the Newton error its change of slope predicts,
     so both ends close in. A step below _T_TOL probes across the root; a
@@ -147,8 +131,7 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     must lie strictly inside (lo, hi); at or beyond its ends t* is infinite.
     """
     r = float(r)
-    y = pair.llr21
-    lo, hi = min(y), max(y)
+    lo, hi = pair.llr21_range
     if not lo < r < hi:
         raise OutOfDomain(f"r = {r} outside the open essential range ({lo}, {hi})")
     d12, d21 = pair.d12, pair.d21
@@ -165,7 +148,7 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     # (16 times a grown bracket) keeps a solve within bisection's tilt count
     cap, probe, last = 4.0, False, None
     for _ in range(_MAX_ITER):
-        h, mean, var = _tilted_moments(pair, t)
+        h, mean, var = tilted_moments(pair, t)
         if mean < r:
             a = t
         elif mean > r:
@@ -214,8 +197,8 @@ def chernoff_information(pair: HypothesisPair):
     11.9.1). When ln(P2/P1) has no entry of each sign (identical hypotheses,
     or ones that differ only by rounding) H is flat and (0.0, 0.5) is returned.
     """
-    y = pair.llr21
-    if not min(y) < 0.0 < max(y):
+    lo, hi = pair.llr21_range
+    if not lo < 0.0 < hi:
         return 0.0, 0.5
     res = rate_function(pair, 0.0)
     return res.value, res.t_star
@@ -263,7 +246,7 @@ def _exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
     lam1 = -th.lambda_upper
     lam2 = -th.lambda_lower
     i_lam1 = rate_function(pair, lam1).value
-    i_lam2 = rate_function(pair, lam2).value
+    i_lam2 = i_lam1 if lam2 == lam1 else rate_function(pair, lam2).value
     alpha1 = i_lam1
     alpha2 = i_lam2
     beta1 = max(0.0, i_lam2 - lam2)
@@ -278,13 +261,6 @@ def _exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
     )
 
 
-def _refined_component(delta: float, gamma: float) -> float:
-    # delta > 1 means the deviation is impossible; the exponent is infinite
-    if delta > 1.0:
-        return math.inf
-    return binary_kl((delta + gamma) / (1.0 + gamma), gamma / (1.0 + gamma))
-
-
 def _min_over_i(comps: dict) -> ExponentBounds:
     return ExponentBounds(
         components=comps,
@@ -295,7 +271,7 @@ def _min_over_i(comps: dict) -> ExponentBounds:
 
 def _refined_bounds(geo: _Geometry) -> ExponentBounds:
     return _min_over_i({
-        key: _refined_component(geo.deltas[key], geo.stats[key[0]].gamma)
+        key: refined_exponent(geo.deltas[key], geo.stats[key[0]].gamma)
         for key in COMPONENT_KEYS
     })
 

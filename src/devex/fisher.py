@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DegenerateIncrements, DomainError, OutOfDomain
-from .exponents import (
-    ZERO_THRESHOLDS,
-    _azuma_bounds,
-    _geometry,
-    _refined_bounds,
-    chernoff_information,
-)
+from .exponents import ZERO_THRESHOLDS, compare_report
 from .probdist import HypothesisPair, Pmf, make_pmf
 
 # offsets below this cannot resolve the PMF difference in double precision
@@ -116,7 +110,9 @@ def _neville_at_zero(hs, vals) -> float:
 def limit_ratios(family: ParametricFamily, theta: float, offsets) -> FisherLimitReport:
     """Measure the four exponent ratios on an offset ladder and extrapolate.
 
-    For each h, with theta' = theta + h and zero decision thresholds:
+    For each h, with theta' = theta + h, the ratios read one zero-threshold
+    compare_report of the pair (P_theta, P_theta'), whose exact P_e exponent
+    is the Chernoff information C = I(0):
 
         divergence_ratio = D(P_theta || P_theta') / h^2   -> J/2
         chernoff_ratio   = C / h^2                        -> J/8
@@ -146,14 +142,14 @@ def limit_ratios(family: ParametricFamily, theta: float, offsets) -> FisherLimit
     rows = []
     for h in offsets:
         pair = HypothesisPair(base, family.pmf_at(theta + h))
-        geo = _geometry(pair, ZERO_THRESHOLDS)
+        report = compare_report(pair, ZERO_THRESHOLDS)
         h2 = h * h
         rows.append(RatioRow(
             h=h,
             divergence_ratio=pair.d12 / h2,
-            chernoff_ratio=chernoff_information(pair)[0] / h2,
-            el_ratio=_refined_bounds(geo).pe1 / h2,
-            loosened_ratio=_azuma_bounds(geo).pe1 / h2,
+            chernoff_ratio=report.exact.pe1 / h2,
+            el_ratio=report.refined.pe1 / h2,
+            loosened_ratio=report.azuma.pe1 / h2,
         ))
     hs = [row.h for row in rows]
     divergence_limit = _neville_at_zero(hs, [r.divergence_ratio for r in rows])

@@ -114,6 +114,14 @@ def _llr_scores(counts, llr, cuts):
     return scores
 
 
+def _error_events(scores, t_upper, t_lower) -> dict:
+    """The decision rule: masks of the four events over scores L, by name.
+    Alpha events are L <= n*lambda and beta events L >= n*lambda, with
+    t_upper = n*lambda_upper and t_lower = n*lambda_lower."""
+    return {"alpha1": scores <= t_upper, "alpha2": scores <= t_lower,
+            "beta1": scores >= t_lower, "beta2": scores >= t_upper}
+
+
 def _log_factorials(n: int):
     """ln k! for k = 0..n, read-only, bit for bit math.lgamma(k + 1)."""
     global _log_factorial_table
@@ -208,12 +216,13 @@ class SllResult:
 
 def _wilson(count: int, total: int):
     """95% Wilson interval; zero (or full) counts fall back to the one-sided
-    rule of three, which Wilson handles poorly at these extremes.
+    rule of three, which Wilson handles poorly at these extremes. Its end
+    3/total passes 1 when total < 3, so both ends are clamped to [0, 1].
     """
     if count == 0:
-        return 0.0, 3.0 / total
+        return 0.0, min(1.0, 3.0 / total)
     if count == total:
-        return 1.0 - 3.0 / total, 1.0
+        return max(0.0, 1.0 - 3.0 / total), 1.0
     phat = count / total
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
@@ -224,12 +233,14 @@ def _wilson(count: int, total: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _estimate(count: int, trials: int, n: int) -> Estimate:
-    value = count / trials
-    lo, hi = _wilson(count, trials)
+def _make_estimate(value: float, lo: float, hi: float, n: int) -> Estimate:
     exponent = math.inf if value == 0.0 else -math.log(value) / n
     return Estimate(value=value, ci_low=lo, ci_high=hi,
                     empirical_exponent=exponent)
+
+
+def _estimate(count: int, trials: int, n: int) -> Estimate:
+    return _make_estimate(count / trials, *_wilson(count, trials), n)
 
 
 def _mix_estimates(a: Estimate, b: Estimate, pi1: float, pi2: float,
@@ -237,25 +248,19 @@ def _mix_estimates(a: Estimate, b: Estimate, pi1: float, pi2: float,
     # a prior mixture of two binomials has no exact Wilson interval; the
     # prior-weighted endpoints contain the mixture whenever each side's
     # interval contains its own value
-    value = pi1 * a.value + pi2 * b.value
-    lo = pi1 * a.ci_low + pi2 * b.ci_low
-    hi = pi1 * a.ci_high + pi2 * b.ci_high
-    exponent = math.inf if value == 0.0 else -math.log(value) / n
-    return Estimate(value=value, ci_low=lo, ci_high=hi,
-                    empirical_exponent=exponent)
+    return _make_estimate(pi1 * a.value + pi2 * b.value,
+                          pi1 * a.ci_low + pi2 * b.ci_low,
+                          pi1 * a.ci_high + pi2 * b.ci_high, n)
 
 
 def simulate_test(pair: HypothesisPair, config: SimConfig,
                   threads: int = 1) -> SimResult:
     """Monte Carlo estimates of the six error/erasure probabilities.
 
-    Each trial under each hypothesis draws n i.i.d. symbols and compares
-    L = sum ln(P1/P2) against n*lambda_upper and n*lambda_lower. Events
-    follow the defining probabilities: under hypothesis 1, error-or-erasure
-    is {L <= n*lambda_upper} and error is {L <= n*lambda_lower}; mirrored
-    with >= under hypothesis 2 (overlapping events at equality are counted
-    in both, not partitioned). P_e estimates mix the two hypotheses by the
-    priors.
+    Each trial under each hypothesis draws n i.i.d. symbols and classifies
+    L = sum ln(P1/P2) by _error_events: alpha events under hypothesis 1,
+    beta events under hypothesis 2 (a score on a threshold counts in both
+    events it meets). P_e estimates mix the two hypotheses by the priors.
 
     Trials run on one thread; `threads` is validated but changes nothing.
     """
@@ -268,30 +273,18 @@ def simulate_test(pair: HypothesisPair, config: SimConfig,
     p1 = np.asarray(pair.p1.probs)
     p2 = np.asarray(pair.p2.probs)
 
-    totals = {}
-    for hyp, probs in ((1, p1), (2, p2)):
-        wide = 0  # events against the wide threshold (alpha1 / beta1)
-        narrow = 0
+    counts = dict.fromkeys(("alpha1", "alpha2", "beta1", "beta2"), 0)
+    for hyp, probs, events in ((1, p1, ("alpha1", "alpha2")),
+                               (2, p2, ("beta1", "beta2"))):
         streams = _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
                               config.trials)
         for _ in range(0, config.trials, _BLOCK_TRIALS):
-            counts = np.array([rng.multinomial(config.n, probs)
-                               for rng in islice(streams, _BLOCK_TRIALS)])
-            scores = _llr_scores(counts, llr, (t_upper, t_lower))
-            if hyp == 1:
-                wide += int(np.count_nonzero(scores <= t_upper))
-                narrow += int(np.count_nonzero(scores <= t_lower))
-            else:
-                wide += int(np.count_nonzero(scores >= t_lower))
-                narrow += int(np.count_nonzero(scores >= t_upper))
-        totals[hyp] = (wide, narrow)
-
-    counts = {
-        "alpha1": totals[1][0],
-        "alpha2": totals[1][1],
-        "beta1": totals[2][0],
-        "beta2": totals[2][1],
-    }
+            rows = np.array([rng.multinomial(config.n, probs)
+                             for rng in islice(streams, _BLOCK_TRIALS)])
+            masks = _error_events(_llr_scores(rows, llr, (t_upper, t_lower)),
+                                  t_upper, t_lower)
+            for name in events:
+                counts[name] += int(np.count_nonzero(masks[name]))
     alpha1 = _estimate(counts["alpha1"], config.trials, config.n)
     alpha2 = _estimate(counts["alpha2"], config.trials, config.n)
     beta1 = _estimate(counts["beta1"], config.trials, config.n)
@@ -316,8 +309,7 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
 
     L is a linear function of the count k of the second symbol, so each
     probability is a binomial tail sum, accumulated in the log domain.
-    Threshold comparisons reuse the simulator's convention: alpha events use
-    <=, beta events use >=.
+    Events are the simulator's, from the same _error_events.
     """
     if pair.size() != 2:
         raise NotBinary(f"alphabet size {pair.size()} is not 2")
@@ -347,11 +339,12 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
         m = selected.max()
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
+    masks = _error_events(scores, t_upper, t_lower)
     return TailProbabilities(
-        alpha1=tail(logpmf1, scores <= t_upper),
-        alpha2=tail(logpmf1, scores <= t_lower),
-        beta1=tail(logpmf2, scores >= t_lower),
-        beta2=tail(logpmf2, scores >= t_upper),
+        alpha1=tail(logpmf1, masks["alpha1"]),
+        alpha2=tail(logpmf1, masks["alpha2"]),
+        beta1=tail(logpmf2, masks["beta1"]),
+        beta2=tail(logpmf2, masks["beta2"]),
     )
 
 

@@ -9,9 +9,10 @@ Sums use math.fsum (correctly rounded), so every scalar produced here is
 exactly invariant under a relabeling that permutes both distributions the
 same way.
 
-HypothesisPair holds the per-pair LLR table (ln P1, ln P2, both log ratios,
-both divergences, both LlrStats), each computed at most once per pair
-object; every layer reads it instead of taking per-symbol logs itself.
+HypothesisPair holds the per-pair LLR table (ln P1, ln P2, both log ratios
+and their range, both divergences, both LlrStats), each computed at most
+once per pair object; every layer reads it instead of taking per-symbol
+logs itself. tilted_moments is the one home of the tilted family H, H', H''.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ def make_pmf(labels, probs) -> Pmf:
 class HypothesisPair:
     """Two hypotheses P1, P2 sharing one alphabet (same labels, same order),
     and their per-symbol LLR table in nats: log_p1 = ln P1(x), log_p2 =
-    ln P2(x), llr12 = ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), and the
-    divergences d12 = D(P1||P2), d21 = D(P2||P1), and the increment
-    statistics stats1, stats2 of llr_stats. Each table entry is
-    computed on first access and kept on the object; equality, hashing and
-    repr see only p1 and p2.
+    ln P2(x), llr12 = ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), its range
+    llr21_range = (min, max), the divergences d12 = D(P1||P2), d21 =
+    D(P2||P1), and the increment statistics stats1, stats2 of llr_stats.
+    Each table entry is computed on first access and kept on the object;
+    equality, hashing and repr see only p1 and p2.
     """
 
     p1: Pmf
@@ -115,6 +116,10 @@ class HypothesisPair:
         return tuple(
             math.log(b / a) for a, b in zip(self.p1.probs, self.p2.probs)
         )
+
+    @cached_property
+    def llr21_range(self) -> tuple[float, float]:
+        return min(self.llr21), max(self.llr21)
 
     @cached_property
     def d12(self) -> float:
@@ -195,23 +200,28 @@ def renyi_divergence(p: Pmf, q: Pmf, t: float) -> float:
     return log_mgf(pair, t) / (t - 1.0)
 
 
-def _tilt(pair: HypothesisPair, t: float):
-    """(m, weights) with ln P1(x)^(1-t) P2(x)^t = m + ln weights[x], m the
-    largest of those logs, so every weight lies in (0, 1]. Each log is taken
-    as ln P1 + t ln(P2/P1), which skips rounding 1 - t and ln P2 - ln P1."""
-    terms = [a + t * y for a, y in zip(pair.log_p1, pair.llr21)]
+def tilted_moments(pair: HypothesisPair, t: float):
+    """(H(t), H'(t), H''(t)): H by max-shifted log-sum-exp, H' and H'' the
+    mean and variance of ln(P2/P1) under the tilt P1^(1-t) P2^t. Each log is
+    ln P1 + t ln(P2/P1), which skips rounding 1 - t and ln P2 - ln P1. H''
+    only sizes a Newton step, so a plain sum is enough for it."""
+    y = pair.llr21
+    terms = [a + t * v for a, v in zip(pair.log_p1, y)]
     m = max(terms)
-    return m, [math.exp(v - m) for v in terms]
+    weights = [math.exp(v - m) for v in terms]
+    s = math.fsum(weights)
+    mean = math.fsum(w * v for w, v in zip(weights, y)) / s
+    var = sum(w * (v - mean) ** 2 for w, v in zip(weights, y)) / s
+    return m + math.log(s), mean, var
 
 
 def log_mgf(pair: HypothesisPair, t: float) -> float:
-    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t, via max-shifted log-sum-exp.
+    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t, read from tilted_moments.
 
     H is convex with H(0) = H(1) = 0; its Legendre transform is the rate
     function of the normalized log-likelihood ratio under P1.
     """
-    m, weights = _tilt(pair, float(t))
-    return m + math.log(math.fsum(weights))
+    return tilted_moments(pair, float(t))[0]
 
 
 def llr_stats(pair: HypothesisPair, hypothesis_index: int) -> LlrStats:

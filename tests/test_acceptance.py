@@ -41,7 +41,7 @@ from devex import (
     xlogx_floor,
 )
 from devex.cli import main as cli_main
-from devex.exponents import _tilted_mean
+from devex.probdist import tilted_moments
 
 COMPONENT_KEYS = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -115,7 +115,7 @@ def test_05_rate_function_matches_grid_oracle():
             return float(logsumexp((1.0 - t) * logp1 + t * logp2))
 
         for _ in range(10):
-            r = _tilted_mean(pair, float(rng.uniform(-2.0, 3.0)))
+            r = tilted_moments(pair, float(rng.uniform(-2.0, 3.0)))[1]
             vals = t_grid * r - h_grid
             i = int(np.argmax(vals))
             a = t_grid[i] - 2e-4

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -211,6 +212,17 @@ class TestBoundsCommand:
         two = run_json(capsys, argv + ["--sided", "two"])["results"]["refined"]
         assert two == pytest.approx(2.0 * one, rel=1e-15)
 
+    def test_jump_bounds_are_not_materialised(self, capsys):
+        # a list of 10**6 jump bounds would take 8 MB
+        tracemalloc.start()
+        try:
+            run_json(capsys, ["bounds", "--d", "1", "--sigma-sq", "0.5",
+                              "--n", "1000000", "--alpha", "0.001"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_variance_above_span_exit_2(self, capsys):
         rc = main(["bounds", "--d", "1", "--sigma-sq", "1.5", "--n", "10",
                    "--alpha", "0"])
@@ -323,6 +335,15 @@ class TestSimulateCommand:
         assert est["value"] == 0.0
         assert est["ci_high"] == pytest.approx(3.0 / 50, rel=1e-12)
         assert est["empirical_exponent"] == "inf"
+
+    @pytest.mark.parametrize("trials", ["1", "2"])
+    def test_few_trials_meet_the_schema(self, capsys, ex1_pair_file, schema,
+                                        trials):
+        # Wilson ends stay in [0, 1] even where 3/trials exceeds 1
+        for seed in ("0", "1", "2", "3"):
+            report = run_json(capsys, ["simulate", ex1_pair_file, "--n", "5",
+                                       "--trials", trials, "--seed", seed])
+            jsonschema.validate(report, schema)
 
     def test_prior_flag(self, capsys, ex1_pair_file):
         report = run_json(capsys, ["simulate", ex1_pair_file, "--n", "10",

@@ -256,13 +256,13 @@ class TestTiltBudget:
         import devex.exponents as ex
 
         count = [0]
-        inner = ex._tilt
+        inner = ex.tilted_moments
 
         def counted(*args):
             count[0] += 1
             return inner(*args)
 
-        monkeypatch.setattr(ex, "_tilt", counted)
+        monkeypatch.setattr(ex, "tilted_moments", counted)
         return count
 
     def test_chernoff_at_k64(self, tilts):
@@ -398,7 +398,8 @@ class TestCompareReport:
         import devex.exponents as ex
         import devex.probdist as pd
 
-        calls = {"llr_stats": 0, "check_admissible": 0, "kl_divergence": 0}
+        calls = {"llr_stats": 0, "check_admissible": 0, "kl_divergence": 0,
+                 "rate_function": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -406,13 +407,15 @@ class TestCompareReport:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("llr_stats", "check_admissible"):
+        for name in ("llr_stats", "check_admissible", "rate_function"):
             monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
         kl = counted("kl_divergence", pd.kl_divergence)
         monkeypatch.setattr(pd, "kl_divergence", kl)
         monkeypatch.setattr(ex, "kl_divergence", kl, raising=False)
         compare_report(ex1_pair, zero_th)
-        assert calls == {"llr_stats": 2, "check_admissible": 1, "kl_divergence": 0}
+        # equal thresholds share one rate-function solve
+        assert calls == {"llr_stats": 2, "check_admissible": 1, "kl_divergence": 0,
+                         "rate_function": 1}
 
     def test_ordering_on_random_instances(self):
         rng = np.random.default_rng(9)

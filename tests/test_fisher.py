@@ -164,7 +164,7 @@ class TestLimitRatios:
     def test_one_geometry_per_offset(self, monkeypatch):
         import devex.exponents as ex
 
-        calls = {"llr_stats": 0, "check_admissible": 0}
+        calls = {"llr_stats": 0, "check_admissible": 0, "rate_function": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -176,7 +176,8 @@ class TestLimitRatios:
             monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
         limit_ratios(ternary_family(0.5), 1.0, OFFSETS)
         assert calls == {"llr_stats": 2 * len(OFFSETS),
-                         "check_admissible": len(OFFSETS)}
+                         "check_admissible": len(OFFSETS),
+                         "rate_function": len(OFFSETS)}
 
     def test_flip_symmetry(self):
         # approaching from below gives the same divergence limit

@@ -103,6 +103,22 @@ class TestSimulateTest:
         assert res.counts["alpha1"] == 0
         assert res.alpha1 == Estimate(0.0, 0.0, 3.0 / 50, math.inf)
 
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_few_trials_stay_in_unit_interval(self, ex1_pair, zero_th, trials):
+        # the rule-of-three end 3/trials passes 1 below 3 trials
+        seen = {name: set() for name in ESTIMATE_NAMES[:4]}
+        for seed in range(16):
+            cfg = SimConfig(n=5, trials=trials, seed=seed, thresholds=zero_th)
+            res = simulate_test(ex1_pair, cfg)
+            for name in ESTIMATE_NAMES:
+                est = getattr(res, name)
+                assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0, (
+                    seed, name, est)
+            for name in seen:
+                seen[name].add(res.counts[name])
+        # every estimate met both a zero and a full count
+        assert all({0, trials} <= counts for counts in seen.values()), seen
+
     def test_prior_mixing(self, ex1_pair, zero_th):
         cfg = SimConfig(n=10, trials=1000, seed=4, thresholds=zero_th,
                         priors=(0.25, 0.75))
