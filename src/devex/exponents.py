@@ -25,6 +25,8 @@ _T_TOL = 1e-12
 _MAX_ITER = 200
 _T_CAP = 64.0
 _ADMISSIBILITY_GUARD = 1e-12
+_U = 2.0 ** -53                 # unit roundoff of binary64
+_TINY = 2.0 ** -1022            # smallest normal binary64
 
 # component keys: (i, j) = (hypothesis of the bounding martingale, which
 # error probability: j=1 error-or-erasure, j=2 error-only)
@@ -112,23 +114,85 @@ def check_admissible(pair: HypothesisPair, th: Thresholds):
     return d12, d21
 
 
+def _warm_start(pair: HypothesisPair, r: float, target: float) -> float:
+    """First tilt for r in [-D(P1||P2), D(P2||P1)]: two Newton steps, from
+    the chord guess, on the cubic Hermite interpolant on [0, 1] of the
+    solver's g = ln((H' - lo)/(hi - H')). Its end values come from the pair:
+    H'(0) = -D12, H'(1) = D21, H''(0) = stats1.sigma_sq, H''(1) =
+    stats2.sigma_sq. The chord guess stands when the result leaves (0, 1)."""
+    lo, hi = pair.llr21_range
+    d12, d21 = pair.d12, pair.d21
+    chord = (r + d12) / (d12 + d21) if d12 + d21 > 0.0 else 0.5
+    p0, q0, p1, q1 = -d12 - lo, hi + d12, d21 - lo, hi - d21
+    if not min(p0, q0, p1, q1) > 0.0:
+        return chord
+    g0, dg = math.log(p0 / q0), math.log(p1 / q1 * q0 / p0)
+    s0 = (hi - lo) * pair.stats1.sigma_sq / p0 / q0
+    s1 = (hi - lo) * pair.stats2.sigma_sq / p1 / q1
+    c2, c3 = 3.0 * dg - 2.0 * s0 - s1, s0 + s1 - 2.0 * dg
+    x = chord
+    for _ in range(2):
+        slope = s0 + x * (2.0 * c2 + 3.0 * x * c3)
+        if not slope > 0.0:
+            return chord
+        x -= (g0 + x * (s0 + x * (c2 + x * c3)) - target) / slope
+    return x if 0.0 < x < 1.0 else chord
+
+
+def _settled(pair: HypothesisPair, t: float, resid: float, var: float) -> bool:
+    """True when one tilt proves |t - t*| <= _T_TOL/2.
+
+    resid = H'(t) - r and var = H''(t) as tilted_moments computed them.
+    err1 bounds the error of the computed H', and var_lo lies below the
+    exact H'' on [t - _T_TOL/2, t + _T_TOL/2] (rounding model of Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3: u per operation,
+    2u for ln and exp; |H'''| <= (hi - lo) H'' bounds the change across
+    that interval). Were t* farther from t, H' would change by more than
+    _T_TOL/2 * var_lo on the way, more than |resid| + err1 >= |H'(t) - r|.
+    No bracket end enters the proof.
+    """
+    if not abs(resid) <= 0.5 * _T_TOL * var:    # implied by the test below
+        return False
+    lo, hi = pair.llr21_range
+    span, y, k = hi - lo, max(-lo, hi), pair.size()
+    log_scale = -min(pair.log_p1)       # max |ln P1|
+    # each y = ln(P2/P1); each weight's log after the terms, the shift and exp
+    eta = _U * (1.01 + 2.0 * y)
+    theta = _U * (5.1 * log_scale + abs(t) * (1.1 + 6.1 * y) + 2.1)
+    # H': a density ratio within e^(+-2 theta), eta, the products, sums and
+    # the subtraction of r, and weights that exp left subnormal
+    err1 = eta + 1.01 * theta * span + 6.1 * _U * y + k * _TINY * span
+    # H'': the (K - 1)-ulp sum of w*y*y >= 0 and the cancellation in
+    # sum(w*y*y)/s - H'**2, then the value and weight errors
+    v = var - ((1.01 * k + 14.0) * _U + k * _TINY) * y * y
+    if not v > 0.0 or math.sqrt(v) <= eta:
+        return False
+    shrink = math.exp(-2.0 * theta - 0.5 * _T_TOL * span)
+    var_lo = shrink * (math.sqrt(v) - eta) ** 2
+    return abs(resid) + err1 <= 0.5 * _T_TOL * var_lo
+
+
 def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     """I(r) = sup_t (t*r - H(t)), the rate function of L/n under P1.
 
     t* solves H'(t) = r by safeguarded Newton in a sign-checked bracket:
     [0, 1], as H'(0) = -D(P1||P2) and H'(1) = D(P2||P1), grown outward by
-    doubling steps when r lies outside them. Newton runs on ln(H' - lo) -
-    ln(hi - H') = ln(r - lo) - ln(hi - r), [lo, hi] = pair.llr21_range, with
-    H' and H'' from tilted_moments; that form is linear in t for binary
-    alphabets and well scaled near the ends of the range. Each step aims
-    past the root by twice the Newton error its change of slope predicts,
-    so both ends close in. A step below _T_TOL probes across the root; a
-    failed probe or a point outside the bracket gives way to bisection.
-    Points stay within a shrinking distance of the midpoint (the ITP
-    projection, Oliveira & Takahashi, ACM TOMS 2021), so a solve takes at
-    most the 43 tilts of bisection to _T_TOL, plus 2 per doubling step. It
-    stops at a bracket at most _T_TOL wide; I comes from the last tilt. r
-    must lie strictly inside (lo, hi); at or beyond its ends t* is infinite.
+    doubling steps when r lies outside them. Newton runs on g = ln(H' - lo)
+    - ln(hi - H') = ln(r - lo) - ln(hi - r), [lo, hi] = pair.llr21_range,
+    with H' and H'' from tilted_moments; that form is linear in t for binary
+    alphabets and well scaled near the ends of the range. Inside [0, 1] the
+    first tilt is _warm_start's root of the cubic Hermite interpolant of g
+    from the pair's cached end values. Each step aims past the root by
+    twice the Newton error its change of slope predicts, so both ends close
+    in. A step below _T_TOL probes across the root; a failed probe or a
+    point outside the bracket gives way to bisection. Points stay within a
+    shrinking distance of the midpoint (the ITP projection, Oliveira &
+    Takahashi, ACM TOMS 2021), so a solve takes at most the 43 tilts of
+    bisection to _T_TOL, plus 2 per doubling step. It stops at whichever
+    comes first: a tilt that _settled proves within _T_TOL/2 of t* despite
+    rounding, or a bracket at most _T_TOL wide. I comes from the last tilt.
+    Interior solves take about 3.5 tilts at K = 64-1024. r must lie
+    strictly inside (lo, hi); at or beyond its ends t* is infinite.
     """
     r = float(r)
     lo, hi = pair.llr21_range
@@ -141,9 +205,9 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
         # step out from the nearer end of [0, 1] by 1, 2, 4, ...
         a = b = 0.5 + 0.5 * grow
         t, step = a + grow, 2.0
-    else:   # secant through H'(0) and H'(1)
+    else:
         a, b = 0.0, 1.0
-        t = (r + d12) / (d12 + d21) if d12 + d21 > 0.0 else 0.5
+        t = _warm_start(pair, r, target)
     # cap: the widest bracket allowed after the next tilt; starting it at 4
     # (16 times a grown bracket) keeps a solve within bisection's tilt count
     cap, probe, last = 4.0, False, None
@@ -165,6 +229,8 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
                 continue
             grow, cap = 0.0, 16.0 * (b - a)
         if b - a <= _T_TOL:
+            break
+        if _settled(pair, t, mean - r, var):
             break
         cap *= 0.5
         mid = 0.5 * (a + b)

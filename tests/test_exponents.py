@@ -250,6 +250,13 @@ class TestRateFunctionEdges:
         assert returned >= 20
 
 
+def dirichlet_pair(rng, size):
+    labels = [str(i) for i in range(size)]
+    return HypothesisPair(
+        make_pmf(labels, list(rng.dirichlet(np.ones(size)))),
+        make_pmf(labels, list(rng.dirichlet(np.ones(size)))))
+
+
 class TestTiltBudget:
     @pytest.fixture
     def tilts(self, monkeypatch):
@@ -283,6 +290,84 @@ class TestTiltBudget:
                 except OutOfDomain:
                     continue
                 assert tilts[0] <= 45, (pair, r)
+
+    def test_mean_tilts_on_dirichlet_pairs(self, tilts):
+        # measured 3.46 here; 4.8 with the chord start and the bracket exit
+        # alone, so the bound 4.0 leaves room for platform rounding only
+        rng = np.random.default_rng(0)
+        counts = []
+        for size in (64, 256, 1024):
+            for _ in range(6):
+                pair = dirichlet_pair(rng, size)
+                rs = [0.0, -0.5 * pair.d12, 0.5 * pair.d21]
+                rs += [float(r) for r in rng.uniform(-pair.d12, pair.d21, 3)]
+                for r in rs:
+                    tilts[0] = 0
+                    rate_function(pair, r)
+                    counts.append(tilts[0])
+        assert sum(counts) / len(counts) <= 4.0
+
+
+class TestCertifiedStop:
+    @staticmethod
+    def stop_cases():
+        """Seeded (pair, r): near-identical pairs down to h = 1e-7, skewed,
+        far and large-alphabet pairs, r at 1e-6 and 1e-3 of each end of the
+        range and at 0 when the range straddles it."""
+        rng = np.random.default_rng(12)
+        pairs = []
+        for size in (2, 3, 8, 64):
+            labels = [str(i) for i in range(size)]
+
+            def pair_of(a, b):
+                return HypothesisPair(make_pmf(labels, list(a / a.sum())),
+                                      make_pmf(labels, list(b / b.sum())))
+
+            for _ in range(2):
+                a = rng.dirichlet(np.ones(size))
+                z = rng.standard_normal(size)
+                pairs += [pair_of(a, a * np.exp(h * z))
+                          for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)]
+                a = np.maximum(rng.dirichlet(np.full(size, 0.3)), 1e-12)
+                b = np.maximum(rng.dirichlet(np.full(size, 0.3)), 1e-12)
+                pairs.append(pair_of(a, b))
+                pairs.append(pair_of(a, a * np.exp(4.0 * rng.standard_normal(size))))
+        pairs += [dirichlet_pair(rng, size) for size in (256, 1024)]
+        for pair in pairs:
+            lo, hi = pair.llr21_range
+            for f in (1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6):
+                yield pair, lo + f * (hi - lo)
+            if lo < 0.0 < hi:
+                yield pair, 0.0
+
+    def test_stop_lands_within_tolerance_of_mpmath_root(self, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        import devex.exponents as ex
+
+        fired = []
+        inner = ex._settled
+
+        def recorded(pair, t, *rest):
+            ok = inner(pair, t, *rest)
+            if ok:
+                fired.append(t)
+            return ok
+
+        monkeypatch.setattr(ex, "_settled", recorded)
+        stops = 0
+        for pair, r in self.stop_cases():
+            fired.clear()
+            try:
+                res = rate_function(pair, r)
+            except OutOfDomain:
+                continue
+            if not fired:
+                continue
+            stops += 1
+            assert fired == [res.t_star]
+            _, t_star = mp_rate(mpmath, pair, r)
+            assert abs(res.t_star - t_star) <= ex._T_TOL, (pair, r)
+        assert stops >= 15
 
 
 class TestExactExponents:
