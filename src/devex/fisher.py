@@ -5,7 +5,7 @@ nearby members behaves like D(P_theta || P_theta') ~ J(theta) h^2 / 2 with
 h = theta' - theta, and the Chernoff information and the refined exponent
 bound both scale as J h^2 / 8. The loosened (Azuma) exponent scales as
 a(theta) J h^2 / 8 for some a(theta) in [0, 1], which this module measures
-rather than assumes.
+rather than assumes. J(theta) is summed from the family's analytic score.
 
 Limits are estimated by evaluating each ratio on a ladder of offsets and
 extrapolating the polynomial through the samples to h = 0 (Neville scheme;
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DegenerateIncrements, DomainError, OutOfDomain
 from .exponents import ZERO_THRESHOLDS, compare_report
@@ -29,15 +29,15 @@ MIN_OFFSET = 1e-7
 @dataclass(frozen=True)
 class ParametricFamily:
     """Indexed family theta -> Pmf on a fixed alphabet, theta in an open
-    interval. score_at, when given, returns the per-symbol derivative of
-    ln P_theta(x); both evaluators must be pure so the family stays safe for
-    concurrent use.
+    interval. score_at returns the per-symbol derivative of ln P_theta(x),
+    the analytic score that Fisher information needs; both evaluators must
+    be pure so the family stays safe for concurrent use.
     """
 
     name: str
     domain: tuple
     pmf_at: Callable[[float], Pmf]
-    score_at: Optional[Callable[[float], tuple]] = None
+    score_at: Callable[[float], tuple]
 
     def contains(self, theta: float) -> bool:
         lo, hi = self.domain
@@ -73,28 +73,12 @@ def _require_inside(family: ParametricFamily, theta: float):
         raise OutOfDomain(f"theta = {theta} outside ({lo}, {hi}) for {family.name}")
 
 
-def fisher_information(family: ParametricFamily, theta: float, h: float) -> float:
-    """J(theta) = sum_x P_theta(x) * score(x)^2.
-
-    Uses the family's analytic score when available; otherwise the score is
-    approximated by the central difference (ln P_{theta+h} - ln P_{theta-h})
-    / (2h). theta +- h must stay inside the domain either way.
-    """
-    if not h > 0.0:
-        raise DomainError(f"h = {h} must be > 0")
+def fisher_information(family: ParametricFamily, theta: float) -> float:
+    """J(theta) = sum_x P_theta(x) * score(x)^2, from the family's analytic
+    score. theta must lie inside the domain."""
     _require_inside(family, theta)
-    _require_inside(family, theta - h)
-    _require_inside(family, theta + h)
     p = family.pmf_at(theta)
-    if family.score_at is not None:
-        score = family.score_at(theta)
-    else:
-        hi = family.pmf_at(theta + h)
-        lo = family.pmf_at(theta - h)
-        score = tuple(
-            (math.log(a) - math.log(b)) / (2.0 * h)
-            for a, b in zip(hi.probs, lo.probs)
-        )
+    score = family.score_at(theta)
     return math.fsum(w * s * s for w, s in zip(p.probs, score))
 
 
@@ -137,7 +121,7 @@ def limit_ratios(family: ParametricFamily, theta: float, offsets) -> FisherLimit
         _require_inside(family, theta - h)
         _require_inside(family, theta + h)
     _require_inside(family, theta)
-    j = fisher_information(family, theta, min(offsets))
+    j = fisher_information(family, theta)
     base = family.pmf_at(theta)
     rows = []
     for h in offsets:

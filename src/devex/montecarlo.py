@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -253,21 +252,16 @@ def _mix_estimates(a: Estimate, b: Estimate, pi1: float, pi2: float,
                           pi1 * a.ci_high + pi2 * b.ci_high, n)
 
 
-def simulate_test(pair: HypothesisPair, config: SimConfig,
-                  threads: int = 1) -> SimResult:
+def simulate_test(pair: HypothesisPair, config: SimConfig) -> SimResult:
     """Monte Carlo estimates of the six error/erasure probabilities.
 
     Each trial under each hypothesis draws n i.i.d. symbols and classifies
     L = sum ln(P1/P2) by _error_events: alpha events under hypothesis 1,
     beta events under hypothesis 2 (a score on a threshold counts in both
     events it meets). P_e estimates mix the two hypotheses by the priors.
-
-    Trials run on one thread; `threads` is validated but changes nothing.
     """
     check_admissible(pair, config.thresholds)
-    if not isinstance(threads, int) or threads < 1:
-        raise DomainError(f"threads = {threads} must be a positive integer")
-    llr = np.array(pair.llr())
+    llr = np.array(pair.llr12)
     t_upper = config.n * config.thresholds.lambda_upper
     t_lower = config.n * config.thresholds.lambda_lower
     p1 = np.asarray(pair.p1.probs)
@@ -316,7 +310,7 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
     check_admissible(pair, th)
-    llr = np.array(pair.llr())
+    llr = np.array(pair.llr12)
     ks = np.arange(n + 1)
     t_upper = n * th.lambda_upper
     t_lower = n * th.lambda_lower
@@ -329,7 +323,7 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     # ln Bin(k; n, P(second symbol)) under each hypothesis
     logpmf1 = (log_binom + ks * pair.log_p1[1]
                + (n - ks) * math.log1p(-pair.p1.probs[1]))
-    logpmf2 = (log_binom + ks * pair.log_p2[1]
+    logpmf2 = (log_binom + ks * math.log(pair.p2.probs[1])
                + (n - ks) * math.log1p(-pair.p2.probs[1]))
 
     def tail(logpmf, mask) -> float:
@@ -412,7 +406,7 @@ def martingale_trace(pair: HypothesisPair, hypothesis: int, n: int,
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
     _check_seed(seed)
-    llr = np.array(pair.llr())
+    llr = np.array(pair.llr12)
     if hypothesis == 1:
         probs = np.asarray(pair.p1.probs)
         drift = pair.d12
@@ -452,7 +446,7 @@ def sll_check(pair: HypothesisPair, hypothesis: int, n: int, trials: int,
         raise DomainError(f"trials = {trials} must be an integer >= 2 "
                           "(a standard error needs two trials)")
     _check_seed(seed)
-    llr = np.array(pair.llr())
+    llr = np.array(pair.llr12)
     probs = np.asarray(pair.p1.probs if hypothesis == 1 else pair.p2.probs)
     values = np.empty(trials)
     streams = _trial_rngs(seed, _PURPOSE_SLLN, hypothesis, trials)

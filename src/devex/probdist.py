@@ -9,8 +9,8 @@ Sums use math.fsum (correctly rounded), so every scalar produced here is
 exactly invariant under a relabeling that permutes both distributions the
 same way.
 
-HypothesisPair holds the per-pair LLR table (ln P1, ln P2, both log ratios
-and their range, both divergences, both LlrStats), each computed at most
+HypothesisPair holds the per-pair LLR table (ln P1, both log ratios and
+their range, both divergences, both LlrStats), each computed at most
 once per pair object; every layer reads it instead of taking per-symbol
 logs itself. _tilt is the one home of the tilt weights and of H, which
 log_mgf returns; tilted_moments adds H' and H''.
@@ -82,8 +82,8 @@ def make_pmf(labels, probs) -> Pmf:
 @dataclass(frozen=True)
 class HypothesisPair:
     """Two hypotheses P1, P2 sharing one alphabet (same labels, same order),
-    and their per-symbol LLR table in nats: log_p1 = ln P1(x), log_p2 =
-    ln P2(x), llr12 = ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), its range
+    and their per-symbol LLR table in nats: log_p1 = ln P1(x), llr12 =
+    ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), its range
     llr21_range = (min, max), the divergences d12 = D(P1||P2), d21 =
     D(P2||P1), and the increment statistics stats1, stats2 of llr_stats.
     Each table entry is computed on first access and kept on the object;
@@ -102,10 +102,6 @@ class HypothesisPair:
     @cached_property
     def log_p1(self) -> tuple[float, ...]:
         return tuple(math.log(a) for a in self.p1.probs)
-
-    @cached_property
-    def log_p2(self) -> tuple[float, ...]:
-        return tuple(math.log(b) for b in self.p2.probs)
 
     @cached_property
     def llr12(self) -> tuple[float, ...]:
@@ -138,10 +134,6 @@ class HypothesisPair:
     @cached_property
     def stats2(self) -> LlrStats:
         return _increment_stats(2, self.p2.probs, self.llr21, self.d21)
-
-    def llr(self) -> tuple[float, ...]:
-        """Per-symbol log-likelihood ratio ln(P1(x)/P2(x)) in nats."""
-        return self.llr12
 
     def size(self) -> int:
         return len(self.p1)

@@ -86,7 +86,7 @@ def test_03_symmetric_binary_gammas_and_reported_arithmetic(ex1_pair):
 
 
 def test_04_narrow_binary_suite(ex2_pair, zero_th):
-    j = fisher_information(bernoulli_family(), 0.5, 1e-5)
+    j = fisher_information(bernoulli_family(), 0.5)
     c, _ = chernoff_information(ex2_pair)
     el = refined_lower_bounds(ex2_pair, zero_th).pe1
     ok_j = abs(j - 4.0) <= 1e-9
@@ -208,7 +208,7 @@ def test_09_finite_n_tails_stay_under_bounds(ex1_pair, zero_th):
 def test_10_monte_carlo_confidence_intervals_cover_oracle(ex1_pair, zero_th):
     t0 = time.perf_counter()
     cfg = SimConfig(n=100, trials=10 ** 5, seed=42, thresholds=zero_th)
-    res = simulate_test(ex1_pair, cfg, threads=4)
+    res = simulate_test(ex1_pair, cfg)
     tails = exact_binary_tail(ex1_pair, 100, zero_th)
     exact = {
         "alpha1": tails.alpha1, "alpha2": tails.alpha2,

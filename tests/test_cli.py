@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -223,6 +224,28 @@ class TestBoundsCommand:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_huge_n_takes_one_jump(self, capsys):
+        # n jumps d enter as one jump d sqrt(n): no n-step loop, no drift
+        n, d, alpha = 10 ** 9, 1.0, 0.001
+        t0 = time.perf_counter()
+        res = run_json(capsys, ["bounds", "--d", str(d), "--sigma-sq", "0.5",
+                                "--n", str(n), "--alpha", str(alpha)])["results"]
+        assert time.perf_counter() - t0 < 2.0
+        delta = alpha / d
+        assert res["azuma"] == pytest.approx(
+            2.0 * math.exp(-n * delta * delta / 2.0), rel=1e-12, abs=0.0)
+
+    def test_azuma_matches_mpmath(self, capsys):
+        # summing n rounded d**2 terms drifted to 3.3e-14 relative here
+        mpmath = pytest.importorskip("mpmath")
+        n, d, alpha = 1000, 0.7, 0.05
+        res = run_json(capsys, ["bounds", "--d", str(d), "--sigma-sq", "0.1",
+                                "--n", str(n), "--alpha", str(alpha)])["results"]
+        with mpmath.workdps(40):
+            r = mpmath.mpf(alpha) * n
+            want = 2 * mpmath.exp(-r * r / (2 * n * mpmath.mpf(d) ** 2))
+            assert abs(res["azuma"] - want) <= 1e-15 * want
+
     def test_variance_above_span_exit_2(self, capsys):
         rc = main(["bounds", "--d", "1", "--sigma-sq", "1.5", "--n", "10",
                    "--alpha", "0"])
@@ -295,6 +318,14 @@ class TestSimulateCommand:
         second, _ = capsys.readouterr()
         assert first != ""
         assert first == second
+
+    def test_zero_threads_exit_2(self, capsys, ex1_pair_file):
+        rc = main(["simulate", ex1_pair_file, "--n", "20", "--trials", "400",
+                   "--threads", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "DomainError" in err
 
     def test_rerun_is_byte_identical(self, capsys, ex1_pair_file):
         argv = ["simulate", ex1_pair_file, "--n", "20", "--trials", "400",

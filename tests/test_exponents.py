@@ -140,7 +140,7 @@ class TestRateFunction:
                 grid_rate(ex1_pair, r), abs=1e-8)
 
     def test_out_of_domain(self, ex1_pair):
-        hi = max(ex1_pair.llr())          # ln(P2/P1) essential sup is -min llr
+        hi = max(ex1_pair.llr12)          # ln(P2/P1) essential sup is -min llr
         with pytest.raises(OutOfDomain):
             rate_function(ex1_pair, hi + 0.1)
         with pytest.raises(OutOfDomain):

@@ -88,24 +88,23 @@ class TestHypothesisPair:
 
     def test_llr(self, ex1_pair):
         want = (math.log(0.4 / 0.6), math.log(0.6 / 0.4))
-        assert ex1_pair.llr() == want
+        assert ex1_pair.llr12 == want
         assert ex1_pair.size() == 2
 
     def test_table_entries(self):
         pair = random_pair(np.random.default_rng(6), 5)
         a, b = pair.p1.probs, pair.p2.probs
         assert pair.log_p1 == tuple(math.log(x) for x in a)
-        assert pair.log_p2 == tuple(math.log(x) for x in b)
         assert pair.llr12 == tuple(math.log(x / y) for x, y in zip(a, b))
         assert pair.llr21 == tuple(math.log(y / x) for x, y in zip(a, b))
         assert pair.d12 == kl_divergence(pair.p1, pair.p2)
         assert pair.d21 == kl_divergence(pair.p2, pair.p1)
         # built once per object, then read back
-        assert pair.llr12 is pair.llr12 and pair.llr() is pair.llr12
+        assert pair.llr12 is pair.llr12
 
     def test_table_is_outside_equality_and_hash(self, ex1_pair):
         twin = HypothesisPair(ex1_pair.p1, ex1_pair.p2)
-        assert ex1_pair.d12 > 0.0 and ex1_pair.log_p2  # fill one side only
+        assert ex1_pair.d12 > 0.0 and ex1_pair.log_p1  # fill one side only
         assert ex1_pair == twin
         assert hash(ex1_pair) == hash(twin)
         assert repr(ex1_pair) == repr(twin)
