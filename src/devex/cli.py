@@ -29,7 +29,7 @@ from .concentration import (
     refined_bound,
 )
 from .errors import DevexError, DomainError, NoConvergence
-from .exponents import Thresholds, compare_report
+from .exponents import EVENTS, PE_EVENTS, Thresholds, compare_report
 from .fisher import bernoulli_family, limit_ratios, ternary_family
 from .probdist import HypothesisPair, make_pmf
 
@@ -124,13 +124,11 @@ def cmd_exponents(args) -> dict:
 
 def cmd_bounds(args) -> dict:
     params = MartingaleParams(d=args.d, sigma_sq=args.sigma_sq)
-    if not isinstance(args.n, int) or args.n < 1:
-        raise DevexError(f"n = {args.n} must be a positive integer")
     sided = ONE_SIDED if args.sided == "one" else TWO_SIDED
     delta = params.delta(args.alpha)
     refined = refined_bound(params, args.n, args.alpha, sided)
     # one jump d sqrt(n) has the same sum of squares as n jumps d, without
-    # n rounded additions or an n-step loop
+    # n rounded additions or an n-step loop; refined_bound has checked n
     azuma = azuma_bound((args.d * math.sqrt(args.n),), args.alpha * args.n)
     floor = quad_cubic_floor(delta, params.gamma) if delta <= 1.0 else None
     return {
@@ -212,8 +210,9 @@ def cmd_simulate(args) -> dict:
     if pair.size() == 2:
         tails = exact_binary_tail(pair, args.n, th)
         pi1, pi2 = config.priors
-        exact = dict(vars(tails), pe1=pi1 * tails.alpha1 + pi2 * tails.beta1,
-                     pe2=pi1 * tails.alpha2 + pi2 * tails.beta2)
+        exact = dict(vars(tails), **{
+            pe: pi1 * getattr(tails, a) + pi2 * getattr(tails, b)
+            for pe, (a, b) in PE_EVENTS.items()})
     # the thread count is accepted but unused, so it is not part of the
     # echoed inputs
     return {
@@ -229,8 +228,7 @@ def cmd_simulate(args) -> dict:
             "pi1": args.pi1,
         },
         "results": {
-            **{k: dict(vars(getattr(result, k)))
-               for k in ("alpha1", "alpha2", "beta1", "beta2", "pe1", "pe2")},
+            **{k: dict(vars(getattr(result, k))) for k in (*EVENTS, *PE_EVENTS)},
             "counts": dict(result.counts),
             "exact": exact,
         },

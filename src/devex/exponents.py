@@ -6,8 +6,12 @@ lower bounds come from the refined martingale concentration bound and from
 Azuma's inequality. Everything is in nats per sample.
 
 Decision rule conventions: with per-sample thresholds lambda_lower <=
-lambda_upper, an error-or-erasure under hypothesis 1 is {L <= n*lambda_upper}
-and an error is {L <= n*lambda_lower}; mirrored for hypothesis 2. The
+lambda_upper, EVENTS names each of the four error/erasure events, the
+hypothesis it is measured under and its threshold: an error-or-erasure under
+hypothesis 1 is {L <= n*lambda_upper} and an error is {L <= n*lambda_lower};
+mirrored for hypothesis 2. PE_EVENTS pairs them into the two total-error
+probabilities. The exact exponents, both bound families, the simulator, the
+exact binary oracle and the CLI all read these two tables. The
 admissibility window -D(P2||P1) < lambda_lower <= lambda_upper < D(P1||P2)
 keeps every exponent finite and positive.
 """
@@ -28,9 +32,20 @@ _ADMISSIBILITY_GUARD = 1e-12
 _U = 2.0 ** -53                 # unit roundoff of binary64
 _TINY = 2.0 ** -1022            # smallest normal binary64
 
-# component keys: (i, j) = (hypothesis of the bounding martingale, which
-# error probability: j=1 error-or-erasure, j=2 error-only)
-COMPONENT_KEYS = ((1, 1), (2, 1), (1, 2), (2, 2))
+# The decision rule: each event's component key (i, j) and the Thresholds
+# field it compares L/n with. i is the hypothesis the event is measured under
+# (and of the bounding martingale): {L <= n*lambda} for i = 1, {L >= n*lambda}
+# for i = 2. j picks the error probability: 1 error-or-erasure, 2 error-only.
+EVENTS = {
+    "alpha1": ((1, 1), "lambda_upper"),
+    "beta1": ((2, 1), "lambda_lower"),
+    "alpha2": ((1, 2), "lambda_lower"),
+    "beta2": ((2, 2), "lambda_upper"),
+}
+COMPONENT_KEYS = tuple(key for key, _ in EVENTS.values())
+# pe_j pairs the two events with that j, the hypothesis-1 event first
+PE_EVENTS = {f"pe{j}": tuple(name for name, (key, _) in EVENTS.items()
+                             if key[1] == j) for j in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -285,12 +300,8 @@ def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:
     # rather than as a threshold problem
     stats = {i: llr_stats(pair, i) for i in (1, 2)}
     d12, d21 = check_admissible(pair, th)
-    eps = {
-        (1, 1): d12 - th.lambda_upper,
-        (2, 1): d21 + th.lambda_lower,
-        (1, 2): d12 - th.lambda_lower,
-        (2, 2): d21 + th.lambda_upper,
-    }
+    eps = {key: d12 - getattr(th, side) if key[0] == 1 else d21 + getattr(th, side)
+           for key, side in EVENTS.values()}
     deltas = {key: eps[key] / stats[key[0]].d for key in COMPONENT_KEYS}
     return _Geometry(stats=stats, epsilons=eps, deltas=deltas)
 
@@ -298,41 +309,32 @@ def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:
 def exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
     """Cramer exponents of the six probabilities for the given thresholds.
 
-    With lam1 = -lambda_upper and lam2 = -lambda_lower: the error-or-erasure
-    and error exponents under hypothesis 1 are I(lam1) and I(lam2); under
-    hypothesis 2 they are I(lam2) - lam2 and I(lam1) - lam1. The total-error
-    exponents take the worse (smaller) of the two contributing rates.
+    An EVENTS event with threshold lambda has exponent I(-lambda) under
+    hypothesis 1 and I(-lambda) + lambda under hypothesis 2. The total-error
+    exponents take the worse (smaller) of the two PE_EVENTS rates.
     """
     check_admissible(pair, th)
     return _exact_exponents(pair, th)
 
 
 def _exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
-    # thresholds already checked against the pair
-    lam1 = -th.lambda_upper
-    lam2 = -th.lambda_lower
-    i_lam1 = rate_function(pair, lam1).value
-    i_lam2 = i_lam1 if lam2 == lam1 else rate_function(pair, lam2).value
-    alpha1 = i_lam1
-    alpha2 = i_lam2
-    beta1 = max(0.0, i_lam2 - lam2)
-    beta2 = max(0.0, i_lam1 - lam1)
-    return ExactExponents(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        beta1=beta1,
-        beta2=beta2,
-        pe1=min(alpha1, beta1),
-        pe2=min(alpha2, beta2),
-    )
+    # thresholds already checked against the pair; one solve per distinct
+    # threshold, in EVENTS order (lambda_upper first)
+    rates, exps = {}, {}
+    for name, ((i, _), side) in EVENTS.items():
+        lam = getattr(th, side)
+        if lam not in rates:
+            rates[lam] = rate_function(pair, -lam).value
+        exps[name] = rates[lam] if i == 1 else max(0.0, rates[lam] + lam)
+    for pe, (a, b) in PE_EVENTS.items():
+        exps[pe] = min(exps[a], exps[b])
+    return ExactExponents(**exps)
 
 
 def _min_over_i(comps: dict) -> ExponentBounds:
-    return ExponentBounds(
-        components=comps,
-        pe1=min(comps[(1, 1)], comps[(2, 1)]),
-        pe2=min(comps[(1, 2)], comps[(2, 2)]),
-    )
+    return ExponentBounds(components=comps, **{
+        pe: min(comps[EVENTS[a][0]], comps[EVENTS[b][0]])
+        for pe, (a, b) in PE_EVENTS.items()})
 
 
 def _refined_bounds(geo: _Geometry) -> ExponentBounds:
@@ -374,10 +376,9 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
     refined = _refined_bounds(geo)
     azuma = _azuma_bounds(geo)
     slack = 1e-12
-    for label, az, rf, ex in (
-        ("pe1", azuma.pe1, refined.pe1, exact.pe1),
-        ("pe2", azuma.pe2, refined.pe2, exact.pe2),
-    ):
+    for label in PE_EVENTS:
+        az, rf, ex = (getattr(azuma, label), getattr(refined, label),
+                      getattr(exact, label))
         if az > rf + slack or rf > ex + slack:
             raise NoConvergence(
                 f"exponent ordering violated for {label}: "

@@ -9,12 +9,14 @@ Philox stream keyed by (seed, purpose, hypothesis, trial), so a trial's draws
 depend on nothing but its key. Trials run on one thread: the per-trial work
 holds the GIL, so worker threads cannot speed it up.
 
-Tie handling: the simulator and the exact oracle score blocks of count rows
-through one shared scorer, `_llr_scores`. Its matrix product may round
-differently from the per-row `np.dot` of `_llr_score`, so it bounds each
-row's rounding and rescores with `_llr_score` every row within that bound of
-a threshold. Every <= / >= decision, ties included, is therefore the per-row
-`np.dot`'s, and a sample on a threshold classifies identically in both.
+Decision rule and tie handling: the simulator and the exact oracle classify
+blocks of count rows through one helper, `_event_masks`, which applies the
+`exponents.EVENTS` table to the scores of one shared scorer, `_llr_scores`.
+Its matrix product may round differently from the per-row `np.dot` of
+`_llr_score`, so it bounds each row's rounding and rescores with
+`_llr_score` every row within that bound of a threshold. Every <= / >=
+decision, ties included, is therefore the per-row `np.dot`'s, and a sample
+on a threshold classifies identically in both.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, NotBinary
-from .exponents import Thresholds, check_admissible
+from .exponents import EVENTS, PE_EVENTS, Thresholds, check_admissible
 from .probdist import HypothesisPair
 
 _Z95 = 1.959963984540054
@@ -53,19 +55,13 @@ def _key(seed: int, purpose: int, hypothesis: int, trial: int):
     return np.array([seed, tag], dtype=np.uint64)
 
 
-def _trial_rng(seed: int, purpose: int, hypothesis: int, trial: int):
-    """Philox generator for one (purpose, hypothesis, trial) work unit."""
-    return np.random.Generator(
-        np.random.Philox(key=_key(seed, purpose, hypothesis, trial)))
-
-
 def _trial_rngs(seed: int, purpose: int, hypothesis: int, trials: int):
     """Yield the generator of each trial 0..trials-1 of one hypothesis.
 
     A Philox stream is just (key, counter), so one generator is re-keyed
     per trial instead of built per trial: each yield holds exactly the
-    draws `_trial_rng` gives that trial. The generator is only valid until
-    the next one is requested.
+    draws of a Philox freshly built with that trial's key. The generator is
+    only valid until the next one is requested.
     """
     key = _key(seed, purpose, hypothesis, 0)
     tag = int(key[1])
@@ -113,12 +109,15 @@ def _llr_scores(counts, llr, cuts):
     return scores
 
 
-def _error_events(scores, t_upper, t_lower) -> dict:
-    """The decision rule: masks of the four events over scores L, by name.
-    Alpha events are L <= n*lambda and beta events L >= n*lambda, with
-    t_upper = n*lambda_upper and t_lower = n*lambda_lower."""
-    return {"alpha1": scores <= t_upper, "alpha2": scores <= t_lower,
-            "beta1": scores >= t_lower, "beta2": scores >= t_upper}
+def _event_masks(rows, llr, n: int, th: Thresholds) -> dict:
+    """Score a block of count rows and return each `EVENTS` mask, by name:
+    L <= n*lambda for a hypothesis-1 event, L >= n*lambda for a
+    hypothesis-2 one, lambda the event's threshold. A score on a threshold
+    meets the events of both sides."""
+    cuts = {side: n * getattr(th, side) for _, side in EVENTS.values()}
+    scores = _llr_scores(rows, llr, cuts.values())
+    return {name: scores <= cuts[side] if key[0] == 1 else scores >= cuts[side]
+            for name, (key, side) in EVENTS.items()}
 
 
 def _log_factorials(n: int):
@@ -256,45 +255,30 @@ def simulate_test(pair: HypothesisPair, config: SimConfig) -> SimResult:
     """Monte Carlo estimates of the six error/erasure probabilities.
 
     Each trial under each hypothesis draws n i.i.d. symbols and classifies
-    L = sum ln(P1/P2) by _error_events: alpha events under hypothesis 1,
-    beta events under hypothesis 2 (a score on a threshold counts in both
-    events it meets). P_e estimates mix the two hypotheses by the priors.
+    L = sum ln(P1/P2) by _event_masks, counting the EVENTS of that
+    hypothesis (a score on a threshold counts in both events it meets).
+    P_e estimates mix the PE_EVENTS pair of each by the priors.
     """
     check_admissible(pair, config.thresholds)
     llr = np.array(pair.llr12)
-    t_upper = config.n * config.thresholds.lambda_upper
-    t_lower = config.n * config.thresholds.lambda_lower
-    p1 = np.asarray(pair.p1.probs)
-    p2 = np.asarray(pair.p2.probs)
-
-    counts = dict.fromkeys(("alpha1", "alpha2", "beta1", "beta2"), 0)
-    for hyp, probs, events in ((1, p1, ("alpha1", "alpha2")),
-                               (2, p2, ("beta1", "beta2"))):
+    counts = dict.fromkeys(sorted(EVENTS), 0)
+    for hyp, pmf in ((1, pair.p1), (2, pair.p2)):
+        probs = np.asarray(pmf.probs)
         streams = _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
                               config.trials)
         for _ in range(0, config.trials, _BLOCK_TRIALS):
             rows = np.array([rng.multinomial(config.n, probs)
                              for rng in islice(streams, _BLOCK_TRIALS)])
-            masks = _error_events(_llr_scores(rows, llr, (t_upper, t_lower)),
-                                  t_upper, t_lower)
-            for name in events:
-                counts[name] += int(np.count_nonzero(masks[name]))
-    alpha1 = _estimate(counts["alpha1"], config.trials, config.n)
-    alpha2 = _estimate(counts["alpha2"], config.trials, config.n)
-    beta1 = _estimate(counts["beta1"], config.trials, config.n)
-    beta2 = _estimate(counts["beta2"], config.trials, config.n)
+            masks = _event_masks(rows, llr, config.n, config.thresholds)
+            for name, (key, _) in EVENTS.items():
+                if key[0] == hyp:
+                    counts[name] += int(np.count_nonzero(masks[name]))
+    est = {name: _estimate(counts[name], config.trials, config.n)
+           for name in EVENTS}
     pi1, pi2 = config.priors
-    return SimResult(
-        n=config.n,
-        trials=config.trials,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        beta1=beta1,
-        beta2=beta2,
-        pe1=_mix_estimates(alpha1, beta1, pi1, pi2, config.n),
-        pe2=_mix_estimates(alpha2, beta2, pi1, pi2, config.n),
-        counts=counts,
-    )
+    est.update({pe: _mix_estimates(est[a], est[b], pi1, pi2, config.n)
+                for pe, (a, b) in PE_EVENTS.items()})
+    return SimResult(n=config.n, trials=config.trials, counts=counts, **est)
 
 
 def exact_binary_tail(pair: HypothesisPair, n: int,
@@ -303,28 +287,23 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
 
     L is a linear function of the count k of the second symbol, so each
     probability is a binomial tail sum, accumulated in the log domain.
-    Events are the simulator's, from the same _error_events.
+    Events are the simulator's, from the same _event_masks.
     """
     if pair.size() != 2:
         raise NotBinary(f"alphabet size {pair.size()} is not 2")
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
     check_admissible(pair, th)
-    llr = np.array(pair.llr12)
     ks = np.arange(n + 1)
-    t_upper = n * th.lambda_upper
-    t_lower = n * th.lambda_lower
-    scores = _llr_scores(np.stack((n - ks, ks), axis=1), llr,
-                         (t_upper, t_lower))
+    masks = _event_masks(np.stack((n - ks, ks), axis=1), np.array(pair.llr12),
+                         n, th)
     # ln C(n, k), from lg[k] = ln k!
     lg = _log_factorials(n)
     log_binom = lg[n] - lg - lg[::-1]
 
     # ln Bin(k; n, P(second symbol)) under each hypothesis
-    logpmf1 = (log_binom + ks * pair.log_p1[1]
-               + (n - ks) * math.log1p(-pair.p1.probs[1]))
-    logpmf2 = (log_binom + ks * math.log(pair.p2.probs[1])
-               + (n - ks) * math.log1p(-pair.p2.probs[1]))
+    logpmfs = {i: log_binom + ks * math.log(q) + (n - ks) * math.log1p(-q)
+               for i, q in ((1, pair.p1.probs[1]), (2, pair.p2.probs[1]))}
 
     def tail(logpmf, mask) -> float:
         if not mask.any():
@@ -333,13 +312,8 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
         m = selected.max()
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
-    masks = _error_events(scores, t_upper, t_lower)
-    return TailProbabilities(
-        alpha1=tail(logpmf1, masks["alpha1"]),
-        alpha2=tail(logpmf1, masks["alpha2"]),
-        beta1=tail(logpmf2, masks["beta1"]),
-        beta2=tail(logpmf2, masks["beta2"]),
-    )
+    return TailProbabilities(**{name: tail(logpmfs[key[0]], masks[name])
+                                for name, (key, _) in EVENTS.items()})
 
 
 def empirical_exponent(points, *, prefactor_power=0.0):
@@ -417,7 +391,7 @@ def martingale_trace(pair: HypothesisPair, hypothesis: int, n: int,
         drift = pair.d21
         start = -n * drift
         steps = llr + drift
-    rng = _trial_rng(seed, _PURPOSE_TRACE, hypothesis, 0)
+    rng = next(_trial_rngs(seed, _PURPOSE_TRACE, hypothesis, 1))
     symbols = rng.choice(len(llr), size=n, p=probs)
     increments = steps[symbols]
     values = np.empty(n + 1)

@@ -257,6 +257,7 @@ class TestBoundsCommand:
         rc = main(["bounds", "--d", "1", "--sigma-sq", "1", "--n", "0",
                    "--alpha", "0"])
         assert rc == 2
+        assert "DomainError" in capsys.readouterr().err
 
 
 class TestFisherCommand:

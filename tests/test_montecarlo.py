@@ -20,8 +20,10 @@ from devex import (
     NotBinary,
     SimConfig,
     Thresholds,
+    compare_report,
     empirical_exponent,
     exact_binary_tail,
+    exact_exponents,
     kl_divergence,
     llr_stats,
     make_pmf,
@@ -422,6 +424,57 @@ class TestExactBinaryTail:
             assert b.beta1 <= a.beta1 + 1e-12
 
 
+class TestEventTable:
+    """Swapping P1 <-> P2 and (lambda_upper, lambda_lower) -> (-lambda_lower,
+    -lambda_upper) swaps alpha_j <-> beta_j, and the erasure window strictly
+    separates the j = 1 events from the j = 2 ones. Together these tie each
+    event to its hypothesis and threshold in both the exponents and the
+    binary oracle, on an asymmetric pair where a swapped threshold shows."""
+
+    P1, P2 = [0.3, 0.7], [0.6, 0.4]
+
+    def pairs(self):
+        labels = ["a", "b"]
+        pair = HypothesisPair(make_pmf(labels, self.P1), make_pmf(labels, self.P2))
+        swapped = HypothesisPair(make_pmf(labels, self.P2),
+                                 make_pmf(labels, self.P1))
+        th = Thresholds(0.4 * pair.d12, -0.25 * pair.d21)
+        return pair, th, swapped, Thresholds(-th.lambda_lower, -th.lambda_upper)
+
+    @staticmethod
+    def assert_swapped(a, b, rel):
+        for j in (1, 2):
+            assert getattr(a, f"alpha{j}") == pytest.approx(
+                getattr(b, f"beta{j}"), rel=rel)
+            assert getattr(a, f"beta{j}") == pytest.approx(
+                getattr(b, f"alpha{j}"), rel=rel)
+
+    def test_exact_exponents(self):
+        pair, th, swapped, swapped_th = self.pairs()
+        ex = exact_exponents(pair, th)
+        self.assert_swapped(ex, exact_exponents(swapped, swapped_th), 1e-9)
+        assert ex.alpha1 < ex.alpha2 and ex.beta1 < ex.beta2
+
+    def test_bound_components(self):
+        pair, th, swapped, swapped_th = self.pairs()
+        a = compare_report(pair, th)
+        b = compare_report(swapped, swapped_th)
+        for bounds in ("refined", "azuma"):
+            ca = getattr(a, bounds).components
+            cb = getattr(b, bounds).components
+            for (i, j), value in ca.items():
+                assert value == pytest.approx(cb[(3 - i, j)], rel=1e-9)
+            assert ca[(1, 1)] < ca[(1, 2)] and ca[(2, 1)] < ca[(2, 2)]
+
+    @pytest.mark.parametrize("n", [7, 250, 4000])
+    def test_exact_binary_tail(self, n):
+        pair, th, swapped, swapped_th = self.pairs()
+        tails = exact_binary_tail(pair, n, th)
+        self.assert_swapped(tails, exact_binary_tail(swapped, n, swapped_th),
+                            1e-12)
+        assert tails.alpha2 < tails.alpha1 and tails.beta2 < tails.beta1
+
+
 class TestSimulatorMatchesOracle:
     def test_small_instance(self, ex1_pair, zero_th):
         cfg = SimConfig(n=5, trials=20000, seed=123, thresholds=zero_th)
@@ -534,12 +587,14 @@ class TestMartingaleTrace:
             assert min(abs(inc - t) for t in table) <= 1e-12
 
     def test_endpoint_is_the_realized_llr(self, ex1_pair):
-        # re-derive the symbol draws from the same keyed stream
-        from devex.montecarlo import _PURPOSE_TRACE, _trial_rng
+        # re-derive the symbol draws from a Philox built with the same key
+        from devex.montecarlo import _PURPOSE_TRACE
         n, seed = 80, 31
         for hyp, probs in ((1, ex1_pair.p1.probs), (2, ex1_pair.p2.probs)):
             trace = martingale_trace(ex1_pair, hyp, n, seed=seed)
-            rng = _trial_rng(seed, _PURPOSE_TRACE, hyp, 0)
+            tag = (_PURPOSE_TRACE << 48) | (hyp << 32)
+            key = np.array([seed, tag], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             symbols = rng.choice(2, size=n, p=np.asarray(probs))
             llr = ex1_pair.llr12
             realized = math.fsum(llr[s] for s in symbols)
