@@ -94,7 +94,7 @@ def cmd_exponents(args) -> dict:
     pair, raw = load_pair(args.pair_file)
     th = Thresholds(lambda_upper=args.lambda_upper, lambda_lower=args.lambda_lower)
     report = compare_report(pair, th)
-    results = {f"exact_{k}": v for k, v in vars(report.exact).items()}
+    results = {f"exact_{k}": v for k, v in report.exact._asdict().items()}
     results.update({
         "refined_lb_pe1": report.refined.pe1,
         "refined_lb_pe2": report.refined.pe2,
@@ -210,7 +210,7 @@ def cmd_simulate(args) -> dict:
     if pair.size() == 2:
         tails = exact_binary_tail(pair, args.n, th)
         pi1, pi2 = config.priors
-        exact = dict(vars(tails), **{
+        exact = dict(tails._asdict(), **{
             pe: pi1 * getattr(tails, a) + pi2 * getattr(tails, b)
             for pe, (a, b) in PE_EVENTS.items()})
     # the thread count is accepted but unused, so it is not part of the
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> dict:
             "pi1": args.pi1,
         },
         "results": {
-            **{k: dict(vars(getattr(result, k))) for k in (*EVENTS, *PE_EVENTS)},
+            **{k: getattr(result, k)._asdict() for k in (*EVENTS, *PE_EVENTS)},
             "counts": dict(result.counts),
             "exact": exact,
         },

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, OutOfDomain
 from .probdist import binary_kl
@@ -23,18 +23,17 @@ ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
 
 
-@dataclass(frozen=True)
-class MartingaleParams:
+class MartingaleParams(namedtuple("MartingaleParams", "d sigma_sq")):
     """Uniform per-step constants of a martingale: jump bound d (nats) and
     conditional variance bound sigma_sq (nats squared). A conditional
     variance cannot exceed the squared jump bound, so gamma = sigma_sq/d**2
     always lands in (0, 1].
     """
 
-    d: float
-    sigma_sq: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.d > 0.0:
             raise DomainError(f"d = {self.d} must be > 0")
         if not self.sigma_sq > 0.0:
@@ -43,6 +42,7 @@ class MartingaleParams:
             raise DomainError(
                 f"sigma_sq = {self.sigma_sq} exceeds d**2 = {self.d * self.d}"
             )
+        return self
 
     @property
     def gamma(self) -> float:
@@ -105,12 +105,7 @@ def refined_bound(params: MartingaleParams, n: int, alpha: float,
     return c * math.exp(-n * refined_exponent(params.delta(alpha), params.gamma))
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    n: int
-    bound: float
-    asymptote: float
-    ratio: float
+ScalingRow = namedtuple("ScalingRow", "n bound asymptote ratio")
 
 
 def sqrt_scaling_report(params: MartingaleParams, alpha: float, n_grid):

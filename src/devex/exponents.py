@@ -19,7 +19,7 @@ keeps every exponent finite and positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .concentration import refined_exponent
 from .errors import InadmissibleThresholds, NoConvergence, OutOfDomain
@@ -48,66 +48,52 @@ PE_EVENTS = {f"pe{j}": tuple(name for name, (key, _) in EVENTS.items()
                              if key[1] == j) for j in (1, 2)}
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(namedtuple("Thresholds", "lambda_upper lambda_lower")):
     """Erasure decision thresholds (lambda_upper, lambda_lower), nats/sample."""
 
-    lambda_upper: float
-    lambda_lower: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.lambda_lower <= self.lambda_upper:
             raise InadmissibleThresholds(
                 f"lambda_lower = {self.lambda_lower} exceeds "
                 f"lambda_upper = {self.lambda_upper}"
             )
+        return self
 
 
 ZERO_THRESHOLDS = Thresholds(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class RateFunctionResult:
-    value: float
-    t_star: float
+RateFunctionResult = namedtuple("RateFunctionResult", "value t_star")
 
 
-@dataclass(frozen=True)
-class ExactExponents:
+class ExactExponents(namedtuple(
+        "ExactExponents", "alpha1 alpha2 beta1 beta2 pe1 pe2")):
     """Cramer exponents of the six error/erasure probabilities."""
 
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    pe1: float
-    pe2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExponentBounds:
-    """Lower bounds on the P_e exponents plus their four (i, j) components."""
+class ExponentBounds(namedtuple("ExponentBounds", "components pe1 pe2")):
+    """Lower bounds on the P_e exponents plus their four (i, j) components,
+    a dict keyed by COMPONENT_KEYS."""
 
-    components: dict
-    pe1: float
-    pe2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    """Exact exponents and both bound families side by side, with the
-    intermediate quantities (epsilons, deltas, gammas) and the per-component
-    improvement ratio refined/azuma next to its second-order reference 1/gamma.
+class ExponentReport(namedtuple(
+        "ExponentReport", "exact refined azuma epsilons deltas gammas "
+                          "gamma_inv improvement")):
+    """Exact exponents (ExactExponents) and both bound families
+    (ExponentBounds) side by side, with the intermediate quantities
+    (epsilons, deltas: dicts keyed by COMPONENT_KEYS; gammas: a pair) and the
+    per-component improvement ratio refined/azuma next to its second-order
+    reference 1/gamma.
     """
 
-    exact: ExactExponents
-    refined: ExponentBounds
-    azuma: ExponentBounds
-    epsilons: dict
-    deltas: dict
-    gammas: tuple
-    gamma_inv: tuple
-    improvement: dict
+    __slots__ = ()
 
 
 def check_admissible(pair: HypothesisPair, th: Thresholds):
@@ -285,14 +271,11 @@ def chernoff_information(pair: HypothesisPair):
     return res.value, res.t_star
 
 
-@dataclass(frozen=True)
-class _Geometry:
+class _Geometry(namedtuple("_Geometry", "stats epsilons deltas")):
     """Intermediate threshold geometry shared by the two bound families;
     stats maps each hypothesis index to its LlrStats."""
 
-    stats: dict
-    epsilons: dict
-    deltas: dict
+    __slots__ = ()
 
 
 def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:

@@ -15,8 +15,7 @@ on a halving ladder this is classical Richardson extrapolation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import DegenerateIncrements, DomainError, OutOfDomain
 from .exponents import ZERO_THRESHOLDS, compare_report
@@ -26,45 +25,32 @@ from .probdist import HypothesisPair, Pmf, make_pmf
 MIN_OFFSET = 1e-7
 
 
-@dataclass(frozen=True)
-class ParametricFamily:
-    """Indexed family theta -> Pmf on a fixed alphabet, theta in an open
-    interval. score_at returns the per-symbol derivative of ln P_theta(x),
-    the analytic score that Fisher information needs; both evaluators must
-    be pure so the family stays safe for concurrent use.
+class ParametricFamily(namedtuple("ParametricFamily",
+                                  "name domain pmf_at score_at")):
+    """Indexed family theta -> Pmf on a fixed alphabet, theta in the open
+    interval domain = (lo, hi). pmf_at(theta) returns the Pmf; score_at
+    returns the per-symbol derivative of ln P_theta(x) as a tuple, the
+    analytic score that Fisher information needs; both evaluators must be
+    pure so the family stays safe for concurrent use.
     """
 
-    name: str
-    domain: tuple
-    pmf_at: Callable[[float], Pmf]
-    score_at: Callable[[float], tuple]
+    __slots__ = ()
 
     def contains(self, theta: float) -> bool:
         lo, hi = self.domain
         return lo < theta < hi
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(namedtuple("RatioRow", "h divergence_ratio chernoff_ratio "
+                                      "el_ratio loosened_ratio")):
     """Ratios at one probe offset h, with theta' = theta + h."""
 
-    h: float
-    divergence_ratio: float
-    chernoff_ratio: float
-    el_ratio: float
-    loosened_ratio: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FisherLimitReport:
-    theta: float
-    j: float
-    rows: tuple
-    divergence_limit: float
-    chernoff_limit: float
-    el_limit: float
-    loosened_limit: float
-    a_theta: float
+FisherLimitReport = namedtuple(
+    "FisherLimitReport", "theta j rows divergence_limit chernoff_limit "
+                         "el_limit loosened_limit a_theta")
 
 
 def _require_inside(family: ParametricFamily, theta: float):

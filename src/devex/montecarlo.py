@@ -22,7 +22,7 @@ on a threshold classifies identically in both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -139,19 +139,17 @@ def _check_seed(seed: int):
         raise DomainError(f"seed = {seed} must be an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(namedtuple("SimConfig", "n trials seed thresholds priors",
+                           defaults=((0.5, 0.5),))):
     """Per-run simulation parameters: n samples per trial, trial count,
-    master seed, decision thresholds, and hypothesis priors (pi1, pi2).
+    master seed, decision thresholds, and hypothesis priors (pi1, pi2),
+    (0.5, 0.5) unless given.
     """
 
-    n: int
-    trials: int
-    seed: int
-    thresholds: Thresholds
-    priors: tuple = (0.5, 0.5)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"n = {self.n} must be a positive integer")
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -164,52 +162,30 @@ class SimConfig:
             raise DomainError(f"priors {self.priors} must lie in (0, 1)")
         if abs(pi1 + pi2 - 1.0) > 1e-12:
             raise DomainError(f"priors {self.priors} must sum to 1")
+        return self
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(namedtuple("Estimate",
+                          "value ci_low ci_high empirical_exponent")):
     """Point estimate with a 95% Wilson interval and -ln(p)/n."""
 
-    value: float
-    ci_low: float
-    ci_high: float
-    empirical_exponent: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimResult:
-    n: int
-    trials: int
-    alpha1: Estimate
-    alpha2: Estimate
-    beta1: Estimate
-    beta2: Estimate
-    pe1: Estimate
-    pe2: Estimate
-    counts: dict = field(compare=False)
+SimResult = namedtuple("SimResult", "n trials alpha1 alpha2 beta1 beta2 "
+                                   "pe1 pe2 counts")
 
 
-@dataclass(frozen=True)
-class TailProbabilities:
+class TailProbabilities(namedtuple("TailProbabilities",
+                                   "alpha1 alpha2 beta1 beta2")):
     """Exact error/erasure probabilities for a binary alphabet."""
 
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MartingaleTrace:
-    values: tuple
-    hypothesis_index: int
-    increments: tuple
-
-
-@dataclass(frozen=True)
-class SllResult:
-    mean: float
-    stderr: float
+MartingaleTrace = namedtuple("MartingaleTrace",
+                             "values hypothesis_index increments")
+SllResult = namedtuple("SllResult", "mean stderr")
 
 
 def _wilson(count: int, total: int):

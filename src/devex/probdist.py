@@ -19,7 +19,7 @@ log_mgf returns; tilted_moments adds H' and H''.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import mul
 
@@ -37,16 +37,15 @@ from .errors import (
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Strictly positive probability mass function on a finite alphabet.
+class Pmf(namedtuple("Pmf", "labels probs")):
+    """Strictly positive probability mass function on a finite alphabet:
+    labels (str, ...) and probs (float, ...). len() is the alphabet size.
 
     Instances are built by make_pmf, which validates and renormalizes.
     Immutable and safe to share between threads.
     """
 
-    labels: tuple[str, ...]
-    probs: tuple[float, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -79,25 +78,24 @@ def make_pmf(labels, probs) -> Pmf:
     return Pmf(labels, probs)
 
 
-@dataclass(frozen=True)
-class HypothesisPair:
-    """Two hypotheses P1, P2 sharing one alphabet (same labels, same order),
-    and their per-symbol LLR table in nats: log_p1 = ln P1(x), llr12 =
+class HypothesisPair(namedtuple("HypothesisPair", "p1 p2")):
+    """Two hypotheses P1, P2 (Pmf) sharing one alphabet (same labels, same
+    order), and their per-symbol LLR table in nats: log_p1 = ln P1(x), llr12 =
     ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), its range
     llr21_range = (min, max), the divergences d12 = D(P1||P2), d21 =
     D(P2||P1), and the increment statistics stats1, stats2 of llr_stats.
-    Each table entry is computed on first access and kept on the object;
-    equality, hashing and repr see only p1 and p2.
+    Each table entry is computed on first access and kept in the instance
+    __dict__ (so this record has no __slots__); equality, hashing and repr
+    see only p1 and p2.
     """
 
-    p1: Pmf
-    p2: Pmf
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.p1.labels != self.p2.labels:
             raise AlphabetMismatch(
                 f"label lists differ: {self.p1.labels} vs {self.p2.labels}"
             )
+        return self
 
     @cached_property
     def log_p1(self) -> tuple[float, ...]:
@@ -139,19 +137,15 @@ class HypothesisPair:
         return len(self.p1)
 
 
-@dataclass(frozen=True)
-class LlrStats:
+class LlrStats(namedtuple("LlrStats",
+                          "hypothesis_index d sigma_sq gamma increments")):
     """Martingale increment statistics of the log-likelihood ratio under one
     hypothesis: uniform jump bound d, conditional variance sigma_sq, their
     ratio gamma = sigma_sq/d**2, and the per-symbol increment table as
     (probability under the generating measure, increment in nats).
     """
 
-    hypothesis_index: int
-    d: float
-    sigma_sq: float
-    gamma: float
-    increments: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
 
 def kl_divergence(p: Pmf, q: Pmf) -> float:

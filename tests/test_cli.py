@@ -519,8 +519,31 @@ class TestPackageApi:
 
 
 class TestImportCost:
+    """Each child compares sys.modules before and after its work, so the
+    check holds whatever the interpreter's site hooks preload."""
+
+    @staticmethod
+    def _new_modules(body, arg):
+        child = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            f"{body}"
+            "print(json.dumps({'result': result, 'new': sorted(\n"
+            "    m for m in ('dataclasses', 'inspect', 'numpy', 'scipy')\n"
+            "    if m in set(sys.modules) - before)}))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(devex.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(arg)],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
     def test_cli_runs_without_numpy_or_scipy(self, ex1_pair_file):
-        # only simulate needs numpy; scipy is a test-only oracle
+        # only simulate needs numpy; scipy is not a dependency, and the
+        # records are named tuples, so dataclasses (and the inspect it
+        # pulls in) would be pure import cost
         runs = [
             ["exponents", ex1_pair_file],
             ["bounds", "--d", "1", "--sigma-sq", "0.5", "--n", "20",
@@ -528,18 +551,17 @@ class TestImportCost:
             ["fisher", "--family", "ternary", "--alpha", "0.9",
              "--theta", "1.0"],
         ]
-        child = (
-            "import json, sys\n"
-            "import devex.cli\n"
-            "codes = [devex.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
-            "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
-        )
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(devex.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
-                              capture_output=True, text=True, timeout=120,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result == {"codes": [0, 0, 0], "loaded": []}
+        body = ("import devex.cli\n"
+                "result = [devex.cli.main(argv) for argv in "
+                "json.loads(sys.argv[1])]\n")
+        assert self._new_modules(body, runs) == {"result": [0, 0, 0], "new": []}
+
+    def test_simulator_loads_no_dataclasses(self):
+        body = ("from devex import (ZERO_THRESHOLDS, HypothesisPair, SimConfig,\n"
+                "                   make_pmf, simulate_test)\n"
+                "p, q = (make_pmf('01', w) for w in json.loads(sys.argv[1]))\n"
+                "result = simulate_test(HypothesisPair(p, q), SimConfig(\n"
+                "    n=10, trials=20, seed=1, thresholds=ZERO_THRESHOLDS)).trials\n")
+        result = self._new_modules(body, [[0.4, 0.6], [0.6, 0.4]])
+        assert result["result"] == 20 and "numpy" in result["new"]
+        assert "dataclasses" not in result["new"]

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import devex
 from devex import (
@@ -394,7 +393,9 @@ class TestExactBinaryTail:
         # term is about a third of the sum, so an event off by one misses.
         # n = 4000 tops the benchmark's tail ladder (alpha1 ~ 1.3e-37).
         tails = exact_binary_tail(ex1_pair, n, zero_th)
-        want = float(scipy.stats.binom.cdf(n // 2, n, 0.6))
+        # P(k <= n/2) under Bin(n, 3/5), summed exactly over 5**n
+        want = sum(math.comb(n, k) * 3 ** k * 2 ** (n - k)
+                   for k in range(n // 2 + 1)) / 5 ** n
         assert tails.alpha1 == pytest.approx(want, rel=1e-10)
         if n == 100:
             assert tails.alpha1 == pytest.approx(0.027099197757008555, rel=1e-12)

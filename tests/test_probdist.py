@@ -66,11 +66,6 @@ class TestMakePmf:
         with pytest.raises(DomainError):
             make_pmf(["0", "1", "2"], [0.5, 0.5])
 
-    def test_immutable(self):
-        p = make_pmf(["0", "1"], [0.4, 0.6])
-        with pytest.raises(AttributeError):
-            p.probs = (0.5, 0.5)
-
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_normalized_inputs_always_accepted(self, raw):
@@ -353,6 +348,6 @@ class TestLabelSwapInvariance:
                 assert abs(a.sigma_sq - b.sigma_sq) < 1e-14
 
 
-def test_pmf_is_plain_dataclass():
+def test_make_pmf_returns_a_pmf():
     p = make_pmf(["0", "1"], [0.4, 0.6])
     assert isinstance(p, Pmf)
