@@ -115,62 +115,143 @@ def check_admissible(pair: HypothesisPair, th: Thresholds):
     return d12, d21
 
 
-def _warm_start(pair: HypothesisPair, r: float, target: float) -> float:
-    """First tilt for r in [-D(P1||P2), D(P2||P1)]: two Newton steps, from
-    the chord guess, on the cubic Hermite interpolant on [0, 1] of the
-    solver's g = ln((H' - lo)/(hi - H')). Its end values come from the pair:
-    H'(0) = -D12, H'(1) = D21, H''(0) = stats1.sigma_sq, H''(1) =
-    stats2.sigma_sq. The chord guess stands when the result leaves (0, 1)."""
+_SolverTable = namedtuple("_SolverTable",
+                          "span eta theta0 theta1 err0 err_t cut fit")
+
+
+def _solver_table(pair: HypothesisPair) -> _SolverTable:
+    """The pair's solver constants, built on first use and kept in its
+    __dict__ beside the LLR table.
+
+    The rounding model of tilted_moments (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3: u per operation, 2u for ln and exp), with
+    y = max |ln(P2/P1)|, span = hi - lo and K symbols: each y is within eta
+    of ln(P2/P1); each weight within e^(+-theta) of its exact value, theta =
+    theta0 + theta1 |t| (eta times t, the rounding of t y, of the shift and
+    of exp and the product); H' within err0 + err_t |t| of the exact mean,
+    which adds a (K TINY / s) span term for weights that exp or the product
+    left subnormal, with s at least the P1 of a range-end symbol (_tilt);
+    and H'' within cut of the variance of the computed y under the computed
+    weights. fit holds _warm_start's quintic, or None when H'(0) or H'(1)
+    is not strictly inside the range.
+    """
+    table = pair.__dict__.get("_solver_table")
+    if table is not None:
+        return table
     lo, hi = pair.llr21_range
-    d12, d21 = pair.d12, pair.d21
-    chord = (r + d12) / (d12 + d21) if d12 + d21 > 0.0 else 0.5
+    span, y, k = hi - lo, max(-lo, hi), pair.size()
+    p1, llr = pair.p1.probs, pair.llr21
+    tiny = k * _TINY / min(p1[llr.index(lo)], p1[llr.index(hi)])
+    eta = _U * (1.01 + 2.0 * y)
+    theta0, theta1 = 3.1 * _U, _U * (1.1 + 3.1 * y + 1.1 * span)
+    err0 = eta + 1.01 * theta0 * span + 6.1 * _U * y + tiny * span
+    cut = ((1.01 * k + 14.0) * _U + tiny) * y * y
+    # positional: keywords cost a microsecond, a fifth of the build at K = 3
+    table = pair.__dict__["_solver_table"] = _SolverTable(
+        span, eta, theta0, theta1, err0, 1.01 * theta1 * span, cut,
+        _quintic_fit(pair))
+    return table
+
+
+def _quintic_fit(pair: HypothesisPair):
+    """Coefficients (c0, ..., c5) of the quintic Hermite interpolant on
+    [0, 1] of g = ln((H' - lo)/(hi - H')), from g, g' = span H''/(p q) and
+    g'' = span/(p q) (H''' - H''^2 (q - p)/(p q)) at both ends, p = H' - lo,
+    q = hi - H'. The pair gives H'(0) = -D12, H'(1) = D21, H''(0) and H''(1)
+    as the increments' variances, and H''' as their third central moments:
+    -sum P1 inc1^3 at 0 and sum P2 inc2^3 at 1. None when an end value of H'
+    is not strictly inside the range."""
+    lo, hi = pair.llr21_range
+    span, d12, d21 = hi - lo, pair.d12, pair.d21
     p0, q0, p1, q1 = -d12 - lo, hi + d12, d21 - lo, hi - d21
     if not min(p0, q0, p1, q1) > 0.0:
+        return None
+    st1, st2 = pair.stats1, pair.stats2
+    m3_0 = -math.fsum(w * x * x * x for w, x in st1.increments)
+    m3_1 = math.fsum(w * x * x * x for w, x in st2.increments)
+    pq0, pq1 = p0 * q0, p1 * q1
+    g0, g1 = math.log(p0 / q0), math.log(p1 / q1)
+    s0, s1 = span * st1.sigma_sq / pq0, span * st2.sigma_sq / pq1
+    k0 = span / pq0 * (m3_0 - st1.sigma_sq ** 2 * (q0 - p0) / pq0)
+    k1 = span / pq1 * (m3_1 - st2.sigma_sq ** 2 * (q1 - p1) / pq1)
+    # what the cubic and higher terms must add at t = 1 to g, g', g''
+    a = g1 - g0 - s0 - 0.5 * k0
+    b = s1 - s0 - k0
+    c = k1 - k0
+    return (g0, s0, 0.5 * k0, 10.0 * a - 4.0 * b + 0.5 * c,
+            -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c)
+
+
+def _warm_start(pair: HypothesisPair, fit, r: float, target: float) -> float:
+    """First tilt for r in [-D(P1||P2), D(P2||P1)]: up to three Newton steps,
+    from the chord guess, on the pair's quintic fit of the solver's g. The
+    chord guess stands when there is no fit, a slope is not positive or the
+    result leaves (0, 1)."""
+    d12, d21 = pair.d12, pair.d21
+    chord = (r + d12) / (d12 + d21) if d12 + d21 > 0.0 else 0.5
+    if fit is None:
         return chord
-    g0, dg = math.log(p0 / q0), math.log(p1 / q1 * q0 / p0)
-    s0 = (hi - lo) * pair.stats1.sigma_sq / p0 / q0
-    s1 = (hi - lo) * pair.stats2.sigma_sq / p1 / q1
-    c2, c3 = 3.0 * dg - 2.0 * s0 - s1, s0 + s1 - 2.0 * dg
+    c0, c1, c2, c3, c4, c5 = fit
     x = chord
-    for _ in range(2):
-        slope = s0 + x * (2.0 * c2 + 3.0 * x * c3)
+    for _ in range(3):
+        slope = c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * 5.0 * c5)))
         if not slope > 0.0:
             return chord
-        x -= (g0 + x * (s0 + x * (c2 + x * c3)) - target) / slope
+        dx = (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5)))) - target) / slope
+        x -= dx
+        if abs(dx) <= 1e-9:
+            break
     return x if 0.0 < x < 1.0 else chord
 
 
-def _settled(pair: HypothesisPair, t: float, resid: float, var: float) -> bool:
-    """True when one tilt proves |t - t*| <= _T_TOL/2.
+def _newton_point(table: _SolverTable, t: float, r: float, h: float,
+                  resid: float, var: float):
+    """(I, t_N, err): the rate I = t r - h + resid^2/(2 var) at the Newton
+    point t_N = t - resid/var, and a bound err on |t_N - t*|. None when
+    the tilt is too far from t* for err to reach _T_TOL/2, or when the bound
+    on the correction's error exceeds the rounding of t r - h.
 
-    resid = H'(t) - r and var = H''(t) as tilted_moments computed them.
-    err1 bounds the error of the computed H', and var_lo lies below the
-    exact H'' on [t - _T_TOL/2, t + _T_TOL/2] (rounding model of Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3: u per operation,
-    2u for ln and exp; |H'''| <= (hi - lo) H'' bounds the change across
-    that interval). Were t* farther from t, H' would change by more than
-    _T_TOL/2 * var_lo on the way, more than |resid| + err1 >= |H'(t) - r|.
-    No bracket end enters the proof.
+    resid = H'(t) - r, var = H''(t) and h = H(t) as tilted_moments computed
+    them, with the table's error bounds. var_lo lies below the exact H''(t),
+    so rho0 = (|resid| + err1)/var_lo bounds |H'(t) - r|/H''(t). As |H'''|
+    <= span H'', H'' stays within e^(+-span rho) of H''(t) on [t - rho,
+    t + rho], and with rho = rho0 (1 + 2 span rho0) and span rho0 <= 0.1
+    that interval holds t*.
+    The exact Newton point then lies within rho expm1(span rho) of t*; the
+    computed one adds err1/var for H', rho0 (var/var_lo - 1) for H'' and
+    its own rounding. The exact f(t*) - f(t), f(s) = s r - H(s), is
+    H''(xi) (t - t*)^2/2; resid^2/(2 var) is within v_err of it.
     """
-    if not abs(resid) <= 0.5 * _T_TOL * var:    # implied by the test below
-        return False
-    lo, hi = pair.llr21_range
-    span, y, k = hi - lo, max(-lo, hi), pair.size()
-    log_scale = -min(pair.log_p1)       # max |ln P1|
-    # each y = ln(P2/P1); each weight's log after the terms, the shift and exp
-    eta = _U * (1.01 + 2.0 * y)
-    theta = _U * (5.1 * log_scale + abs(t) * (1.1 + 6.1 * y) + 2.1)
-    # H': a density ratio within e^(+-2 theta), eta, the products, sums and
-    # the subtraction of r, and weights that exp left subnormal
-    err1 = eta + 1.01 * theta * span + 6.1 * _U * y + k * _TINY * span
-    # H'': the (K - 1)-ulp sum of w*y*y >= 0 and the cancellation in
-    # sum(w*y*y)/s - H'**2, then the value and weight errors
-    v = var - ((1.01 * k + 14.0) * _U + k * _TINY) * y * y
-    if not v > 0.0 or math.sqrt(v) <= eta:
-        return False
-    shrink = math.exp(-2.0 * theta - 0.5 * _T_TOL * span)
-    var_lo = shrink * (math.sqrt(v) - eta) ** 2
-    return abs(resid) + err1 <= 0.5 * _T_TOL * var_lo
+    span, eta, theta0, theta1, err0, err_t, cut, _ = table
+    if not (var > 0.0 and span * resid * resid <= _T_TOL * var * var):
+        return None
+    v = var - cut
+    if not v > 0.0:
+        return None
+    sd = math.sqrt(v) - eta
+    if not sd > 0.0:
+        return None
+    at = abs(t)
+    err1 = err0 + err_t * at
+    theta = theta0 + theta1 * at
+    var_lo = (1.0 - 2.0 * theta) * sd * sd
+    dev = abs(resid) + err1
+    rho0 = dev / var_lo
+    if not span * rho0 <= 0.1:
+        return None
+    rho = rho0 * (1.0 + 2.0 * span * rho0)
+    spread = var / var_lo - 1.0
+    step = resid / var
+    corr = 0.5 * resid * step
+    v_err = (0.5 * rho0 * dev * (math.expm1(3.0 * span * rho) + spread)
+             + err1 * (abs(resid) + 0.5 * err1) / var + 3.1 * _U * corr)
+    value = t * r - h
+    if not v_err <= theta + _U * (abs(t * r) + abs(h)):
+        return None
+    t_new = t - step
+    err = (rho * math.expm1(span * rho) + err1 / var + rho0 * spread
+           + 1.01 * _U * (abs(step) + abs(t_new)))
+    return max(0.0, value + corr), t_new, err
 
 
 def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
@@ -182,25 +263,28 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     - ln(hi - H') = ln(r - lo) - ln(hi - r), [lo, hi] = pair.llr21_range,
     with H' and H'' from tilted_moments; that form is linear in t for binary
     alphabets and well scaled near the ends of the range. Inside [0, 1] the
-    first tilt is _warm_start's root of the cubic Hermite interpolant of g
-    from the pair's cached end values. Each step aims past the root by
+    first tilt is _warm_start's root of the quintic Hermite interpolant of g
+    that _solver_table keeps on the pair. Each step aims past the root by
     twice the Newton error its change of slope predicts, so both ends close
     in. A step below _T_TOL probes across the root; a failed probe or a
     point outside the bracket gives way to bisection. Points stay within a
     shrinking distance of the midpoint (the ITP projection, Oliveira &
     Takahashi, ACM TOMS 2021), so a solve takes at most the 43 tilts of
     bisection to _T_TOL, plus 2 per doubling step. It stops at whichever
-    comes first: a tilt that _settled proves within _T_TOL/2 of t* despite
-    rounding, or a bracket at most _T_TOL wide. I comes from the last tilt.
-    Interior solves take about 3.5 tilts at K = 64-1024. r must lie
-    strictly inside (lo, hi); at or beyond its ends t* is infinite.
+    comes first: a tilt whose Newton point _newton_point proves within
+    _T_TOL/2 of t* despite rounding, which returns that point and I with
+    its second-order Legendre correction, or a bracket at most _T_TOL wide,
+    which returns the last tilt and its t*r - H. Interior solves take about
+    2.2 tilts at K = 64-1024. r must lie strictly inside (lo, hi); at or
+    beyond its ends t* is infinite.
     """
     r = float(r)
     lo, hi = pair.llr21_range
     if not lo < r < hi:
         raise OutOfDomain(f"r = {r} outside the open essential range ({lo}, {hi})")
     d12, d21 = pair.d12, pair.d21
-    target = math.log((r - lo) / (hi - r))
+    table = _solver_table(pair)
+    below, above = r - lo, hi - r
     grow = -1.0 if r < -d12 else 1.0 if r > d21 else 0.0
     if grow:
         # step out from the nearer end of [0, 1] by 1, 2, 4, ...
@@ -208,7 +292,7 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
         t, step = a + grow, 2.0
     else:
         a, b = 0.0, 1.0
-        t = _warm_start(pair, r, target)
+        t = _warm_start(pair, table.fit, r, math.log(below / above))
     # cap: the widest bracket allowed after the next tilt; starting it at 4
     # (16 times a grown bracket) keeps a solve within bisection's tilt count
     cap, probe, last = 4.0, False, None
@@ -231,16 +315,20 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
             grow, cap = 0.0, 16.0 * (b - a)
         if b - a <= _T_TOL:
             break
-        if _settled(pair, t, mean - r, var):
-            break
+        point = _newton_point(table, t, r, h, mean - r, var)
+        if point is not None and point[2] <= 0.5 * _T_TOL:
+            return RateFunctionResult(value=point[0], t_star=point[1])
         cap *= 0.5
         mid = 0.5 * (a + b)
         p, q = mean - lo, hi - mean
         slope = (hi - lo) * var / p / q if p > 0.0 and q > 0.0 else 0.0
-        if probe or not 0.0 < slope < math.inf:
+        # g(r) - g(H') = ln(1 + x1) - ln(1 + x2) from the residual, so that
+        # it cannot cancel near the root as ln(below/above) - ln(p/q) does
+        x1, x2 = (r - mean) / above, (mean - r) / below
+        if probe or not (0.0 < slope < math.inf and x1 > -1.0 and x2 > -1.0):
             t, probe, last = mid, False, None
         else:
-            dt = (target - math.log(p / q)) / slope
+            dt = (math.log1p(x1) - math.log1p(x2)) / slope
             # relative change of slope per unit t since the last Newton point
             curv = abs(1.0 - last[1] / slope) / abs(t - last[0]) if last else 0.0
             over = curv * dt * dt if curv * abs(dt) < 0.5 else 0.0

@@ -9,11 +9,11 @@ Sums use math.fsum (correctly rounded), so every scalar produced here is
 exactly invariant under a relabeling that permutes both distributions the
 same way.
 
-HypothesisPair holds the per-pair LLR table (ln P1, both log ratios and
-their range, both divergences, both LlrStats), each computed at most
-once per pair object; every layer reads it instead of taking per-symbol
-logs itself. _tilt is the one home of the tilt weights and of H, which
-log_mgf returns; tilted_moments adds H' and H''.
+HypothesisPair holds the per-pair LLR table (both log ratios and their
+range, both divergences, both LlrStats), each computed at most once per
+pair object; every layer reads it instead of taking per-symbol logs
+itself. _tilt is the one home of the tilt weights and of H, which log_mgf
+returns; tilted_moments adds H' and H''.
 """
 
 from __future__ import annotations
@@ -80,13 +80,13 @@ def make_pmf(labels, probs) -> Pmf:
 
 class HypothesisPair(namedtuple("HypothesisPair", "p1 p2")):
     """Two hypotheses P1, P2 (Pmf) sharing one alphabet (same labels, same
-    order), and their per-symbol LLR table in nats: log_p1 = ln P1(x), llr12 =
-    ln(P1(x)/P2(x)), llr21 = ln(P2(x)/P1(x)), its range
-    llr21_range = (min, max), the divergences d12 = D(P1||P2), d21 =
-    D(P2||P1), and the increment statistics stats1, stats2 of llr_stats.
-    Each table entry is computed on first access and kept in the instance
-    __dict__ (so this record has no __slots__); equality, hashing and repr
-    see only p1 and p2.
+    order), and their per-symbol LLR table in nats: llr12 = ln(P1(x)/P2(x)),
+    llr21 = ln(P2(x)/P1(x)), its range llr21_range = (min, max), the
+    divergences d12 = D(P1||P2), d21 = D(P2||P1), and the increment
+    statistics stats1, stats2 of llr_stats. Each table entry is computed on
+    first access and kept in the instance __dict__ (so this record has no
+    __slots__), where exponents also keeps the pair's solver constants;
+    equality, hashing and repr see only p1 and p2.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -96,10 +96,6 @@ class HypothesisPair(namedtuple("HypothesisPair", "p1 p2")):
                 f"label lists differ: {self.p1.labels} vs {self.p2.labels}"
             )
         return self
-
-    @cached_property
-    def log_p1(self) -> tuple[float, ...]:
-        return tuple(math.log(a) for a in self.p1.probs)
 
     @cached_property
     def llr12(self) -> tuple[float, ...]:
@@ -206,15 +202,24 @@ def renyi_divergence(p: Pmf, q: Pmf, t: float) -> float:
 
 
 def _tilt(pair: HypothesisPair, t: float):
-    """(H(t), w, s): the weights w = exp(ln P1 + t ln(P2/P1) - m) of the tilt
-    P1^(1-t) P2^t, shifted by their largest log m, their fsum s, and
-    H = m + ln s. Each log is ln P1 + t ln(P2/P1), which skips rounding
-    1 - t and ln P2 - ln P1."""
-    terms = [a + t * v for a, v in zip(pair.log_p1, pair.llr21)]
-    m = max(terms)
-    weights = [math.exp(v - m) for v in terms]
+    """(H(t), w, s): the weights w = P1 exp(t y - M) of the tilt
+    P1^(1-t) P2^t, y = ln(P2/P1), their fsum s, and H = M + ln s; no ln P1
+    is taken. max(t y) is t times an end of llr21_range, and it is >= 0 (a
+    range end is at most a rounding error on the wrong side of 0). While it
+    is at most 700 no exp(t y) can overflow: M = 0, and H = ln s cancels
+    nothing. Beyond that M = max(t y), so t y - M <= 0. Either way the
+    symbol at that end keeps a weight of at least its P1, so s >= that P1:
+    s can be far below 1, but only as far as P1 is."""
+    lo, hi = pair.llr21_range
+    shift = t * (hi if t >= 0.0 else lo)
+    p1, y = pair.p1.probs, pair.llr21
+    if shift <= 700.0:
+        shift = 0.0
+        weights = [a * math.exp(t * v) for a, v in zip(p1, y)]
+    else:
+        weights = [a * math.exp(t * v - shift) for a, v in zip(p1, y)]
     s = math.fsum(weights)
-    return m + math.log(s), weights, s
+    return shift + math.log(s), weights, s
 
 
 def tilted_moments(pair: HypothesisPair, t: float):
@@ -223,8 +228,9 @@ def tilted_moments(pair: HypothesisPair, t: float):
     w*y are formed once: H' is their fsum over s, and H'' is the second
     moment sum(w*y*y)/s less H'**2. Every w*y*y is >= 0, so that sum is
     within (K-1)u relative of the exact one, and the uncentred form loses
-    about u*(H'**2 + H'')/H'' relative to cancellation (u = 2**-53); the
-    solver's stop rule allows for both."""
+    about u*(H'**2 + H'')/H'' relative to cancellation (u = 2**-53). The
+    error bounds of exponents._solver_table allow for both, and for weights
+    that exp left subnormal, whose error counts relative to s."""
     h, weights, s = _tilt(pair, t)
     y = pair.llr21
     wy = list(map(mul, weights, y))
@@ -233,7 +239,7 @@ def tilted_moments(pair: HypothesisPair, t: float):
 
 
 def log_mgf(pair: HypothesisPair, t: float) -> float:
-    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t by max-shifted log-sum-exp.
+    """H(t) = ln sum_x P1(x)^(1-t) P2(x)^t, from _tilt's weights.
 
     H is convex with H(0) = H(1) = 0; its Legendre transform is the rate
     function of the normalized log-likelihood ratio under P1.

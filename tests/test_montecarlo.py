@@ -239,10 +239,11 @@ def reference_binary_tail(pair, n, th):
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
     p1, p2 = pair.p1.probs, pair.p2.probs
+    log_p1 = [math.log(p) for p in p1]
     log_p2 = [math.log(q) for q in p2]
     return montecarlo.TailProbabilities(
-        alpha1=tail(p1, pair.log_p1, scores <= t_upper),
-        alpha2=tail(p1, pair.log_p1, scores <= t_lower),
+        alpha1=tail(p1, log_p1, scores <= t_upper),
+        alpha2=tail(p1, log_p1, scores <= t_lower),
         beta1=tail(p2, log_p2, scores >= t_lower),
         beta2=tail(p2, log_p2, scores >= t_upper),
     )
