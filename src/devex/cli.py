@@ -259,8 +259,8 @@ def _flatten(value, path, rows):
         rows.append((path, "" if value is None else str(value)))
 
 
-def emit(report: dict, csv: bool, out=None):
-    out = out or sys.stdout
+def emit(report: dict, csv: bool):
+    out = sys.stdout
     payload = _jsonify(report)
     if csv:
         rows = []

@@ -266,11 +266,10 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     first tilt is _warm_start's root of the quintic Hermite interpolant of g
     that _solver_table keeps on the pair. Each step aims past the root by
     twice the Newton error its change of slope predicts, so both ends close
-    in. A step below _T_TOL probes across the root; a failed probe or a
-    point outside the bracket gives way to bisection. Points stay within a
-    shrinking distance of the midpoint (the ITP projection, Oliveira &
-    Takahashi, ACM TOMS 2021), so a solve takes at most the 43 tilts of
-    bisection to _T_TOL, plus 2 per doubling step. It stops at whichever
+    in. A point outside the bracket gives way to bisection. Points stay
+    within a shrinking distance of the midpoint (the ITP projection, Oliveira
+    & Takahashi, ACM TOMS 2021), so a solve takes at most 45 tilts, 2 more
+    than bisection to _T_TOL, plus 2 per doubling step. It stops at whichever
     comes first: a tilt whose Newton point _newton_point proves within
     _T_TOL/2 of t* despite rounding, which returns that point and I with
     its second-order Legendre correction, or a bracket at most _T_TOL wide,
@@ -293,9 +292,9 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     else:
         a, b = 0.0, 1.0
         t = _warm_start(pair, table.fit, r, math.log(below / above))
-    # cap: the widest bracket allowed after the next tilt; starting it at 4
-    # (16 times a grown bracket) keeps a solve within bisection's tilt count
-    cap, probe, last = 4.0, False, None
+    # cap: the widest bracket allowed after the next tilt; 16 times the
+    # bracket Newton starts from keeps a solve within 2 tilts of bisection
+    cap, last = 16.0, None
     for _ in range(_MAX_ITER):
         h, mean, var = tilted_moments(pair, t)
         if mean < r:
@@ -325,17 +324,17 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
         # g(r) - g(H') = ln(1 + x1) - ln(1 + x2) from the residual, so that
         # it cannot cancel near the root as ln(below/above) - ln(p/q) does
         x1, x2 = (r - mean) / above, (mean - r) / below
-        if probe or not (0.0 < slope < math.inf and x1 > -1.0 and x2 > -1.0):
-            t, probe, last = mid, False, None
+        if not (0.0 < slope < math.inf and x1 > -1.0 and x2 > -1.0):
+            t, last = mid, None
         else:
             dt = (math.log1p(x1) - math.log1p(x2)) / slope
             # relative change of slope per unit t since the last Newton point
             curv = abs(1.0 - last[1] / slope) / abs(t - last[0]) if last else 0.0
             over = curv * dt * dt if curv * abs(dt) < 0.5 else 0.0
-            last, probe = (t, slope), abs(dt) < 0.5 * _T_TOL
+            last = (t, slope)
             t += dt + math.copysign(0.25 * _T_TOL + over, dt)
             if not a < t < b:
-                t, probe = mid, False
+                t = mid
         rho = max(cap - 0.5 * (b - a), 0.0)
         t = min(max(t, mid - rho), mid + rho)
     else:
@@ -344,7 +343,7 @@ def rate_function(pair: HypothesisPair, r: float) -> RateFunctionResult:
     return RateFunctionResult(value=max(0.0, t * r - h), t_star=t)
 
 
-def chernoff_information(pair: HypothesisPair):
+def chernoff_information(pair: HypothesisPair) -> RateFunctionResult:
     """(C, t*): the Chernoff information and the minimizer of H on [0, 1].
 
     H(t) = ln sum P1^(1-t) P2^t is convex with H(0) = H(1) = 0, so
@@ -354,9 +353,8 @@ def chernoff_information(pair: HypothesisPair):
     """
     lo, hi = pair.llr21_range
     if not lo < 0.0 < hi:
-        return 0.0, 0.5
-    res = rate_function(pair, 0.0)
-    return res.value, res.t_star
+        return RateFunctionResult(0.0, 0.5)
+    return rate_function(pair, 0.0)
 
 
 class _Geometry(namedtuple("_Geometry", "stats epsilons deltas")):

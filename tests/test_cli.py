@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import devex
-from devex import DevexError, binary_kl
+from devex import DevexError, NoConvergence, binary_kl
 from devex.cli import build_parser, load_pair, main
 
 from conftest import write_pair_file
@@ -180,6 +180,19 @@ class TestExponentsCommand:
         assert rc == 2
         assert "InadmissibleThresholds" in err
 
+    def test_no_convergence_exit_3(self, capsys, monkeypatch, ex1_pair_file):
+        import devex.cli as cli
+
+        def violated(pair, th):
+            raise NoConvergence("exponent ordering violated for pe1")
+
+        monkeypatch.setattr(cli, "compare_report", violated)
+        rc = main(["exponents", ex1_pair_file])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: NoConvergence:")
+
 
 class TestBoundsCommand:
     def test_zero_deviation(self, capsys, schema):
@@ -302,6 +315,21 @@ class TestFisherCommand:
         _, err = capsys.readouterr()
         assert rc == 2
         assert "--offsets" in err
+
+    def test_csv_flattens_list_results(self, capsys):
+        argv = ["fisher", "--family", "bernoulli", "--theta", "0.5"]
+        res = run_json(capsys, argv)["results"]
+        rc = main(argv + ["--csv"])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        table = dict(line.split(",", 1) for line in lines[1:])
+        # one row per list entry, keyed by its index
+        for key in ("offsets", "chernoff_ratio"):
+            assert [float(table[f"{key}.{i}"]) for i in range(3)] == res[key]
+            assert f"{key}.3" not in table and key not in table
+        assert float(table["j"]) == res["j"]
 
     def test_duplicate_offsets(self, capsys):
         rc = main(["fisher", "--family", "bernoulli", "--theta", "0.5",

@@ -9,6 +9,7 @@ from devex import (
     HypothesisPair,
     InadmissibleThresholds,
     OutOfDomain,
+    RateFunctionResult,
     Thresholds,
     azuma_lower_bounds,
     binary_kl,
@@ -126,8 +127,9 @@ class TestRateFunction:
 
     def test_zero_matches_chernoff(self, ex1_pair, ex2_pair):
         for pair in (ex1_pair, ex2_pair):
-            c, _ = chernoff_information(pair)
-            assert rate_function(pair, 0.0).value == pytest.approx(c, abs=1e-10)
+            res = chernoff_information(pair)
+            assert isinstance(res, RateFunctionResult)
+            assert res == rate_function(pair, 0.0)
 
     def test_legendre_consistency(self, ex1_pair):
         res = rate_function(ex1_pair, 0.01)
@@ -195,7 +197,8 @@ class TestChernoffInformation:
         q2 = make_pmf(["0", "1"], [0.41625354317375146, 0.5837464568262486])
         for pair in (HypothesisPair(p, p), HypothesisPair(q1, q2),
                      HypothesisPair(q2, q1)):
-            assert chernoff_information(pair) == (0.0, 0.5)
+            res = chernoff_information(pair)
+            assert res == (0.0, 0.5) and isinstance(res, RateFunctionResult)
         with pytest.raises(OutOfDomain):
             rate_function(HypothesisPair(q1, q2), 0.0)
 
@@ -282,14 +285,30 @@ class TestTiltBudget:
             assert 1 <= tilts[0] <= 12
 
     def test_edge_cases_within_bisection_count(self, tilts):
-        for size in EDGE_SIZES:
-            for pair, r in edge_cases(size):
-                tilts[0] = 0
-                try:
-                    rate_function(pair, r)
-                except OutOfDomain:
-                    continue
-                assert tilts[0] <= 45, (pair, r)
+        # the ITP cap allows bisection's 43 tilts to _T_TOL on [0, 1] plus 2;
+        # that worst case lives on the near-identical stop cases at r = 0
+        cases = [case for size in EDGE_SIZES for case in edge_cases(size)]
+        for pair, r in cases + list(TestCertifiedStop.stop_cases()):
+            tilts[0] = 0
+            try:
+                rate_function(pair, r)
+            except OutOfDomain:
+                continue
+            assert tilts[0] <= 45, (pair, r)
+
+    def test_stop_cases_have_no_long_tail(self, tilts):
+        # measured max 18 with the ITP cap starting at 16 times the bracket;
+        # 43 when a step below _T_TOL forced the next tilt to the midpoint.
+        # The bound 30 leaves room for platform rounding, not for that tail
+        worst = 0
+        for pair, r in TestCertifiedStop.stop_cases():
+            tilts[0] = 0
+            try:
+                rate_function(pair, r)
+            except OutOfDomain:
+                continue
+            worst = max(worst, tilts[0])
+        assert worst <= 30
 
     def test_mean_tilts_on_dirichlet_pairs(self, tilts):
         # measured 2.21 here with the quintic warm start and the stop on the

@@ -34,6 +34,8 @@ class TestFamilies:
         for theta in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(OutOfDomain):
                 fam.pmf_at(theta)
+            with pytest.raises(OutOfDomain):
+                fam.score_at(theta)
             assert not fam.contains(theta)
 
     def test_bernoulli_score(self):
@@ -55,10 +57,11 @@ class TestFamilies:
 
     def test_ternary_bad_theta(self):
         fam = ternary_family(0.5)
-        with pytest.raises(OutOfDomain):
-            fam.pmf_at(0.0)
-        with pytest.raises(OutOfDomain):
-            fam.pmf_at(-1.0)
+        for theta in (0.0, -1.0):
+            with pytest.raises(OutOfDomain):
+                fam.pmf_at(theta)
+            with pytest.raises(OutOfDomain):
+                fam.score_at(theta)
 
     @pytest.mark.parametrize("fam", [ternary_family(0.3), bernoulli_family()],
                              ids=lambda fam: fam.name)
