@@ -9,14 +9,14 @@ Philox stream keyed by (seed, purpose, hypothesis, trial), so a trial's draws
 depend on nothing but its key. Trials run on one thread: the per-trial work
 holds the GIL, so worker threads cannot speed it up.
 
-Decision rule and tie handling: the simulator and the exact oracle classify
-blocks of count rows through one helper, `_event_masks`, which applies the
-`exponents.EVENTS` table to the scores of one shared scorer, `_llr_scores`.
-Its matrix product may round differently from the per-row `np.dot` of
-`_llr_score`, so it bounds each row's rounding and rescores with
-`_llr_score` every row within that bound of a threshold. Every <= / >=
-decision, ties included, is therefore the per-row `np.dot`'s, and a sample
-on a threshold classifies identically in both.
+Decision rule and tie handling: one scorer, `_llr_scores`, computes
+L = sum_j c_j * l_j for each row of counts by adding the products left to
+right in binary64, one column at a time. Each product and each sum is one
+IEEE-rounded operation, so a row's score is the same number whether it is
+scored alone or in a block of any size, and on any CPU: no BLAS kernel
+picks the order. The simulator and the exact oracle classify those scores
+through one helper, `_event_masks`, which applies the `exponents.EVENTS`
+table, so a sample on a threshold classifies identically in both.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ _PURPOSE_SLLN = 2
 
 _MAX_SEED = 2 ** 64
 _MAX_TRIALS = 2 ** 32 - 1
-# trials whose counts simulate_test holds and scores at once
+# trials whose counts are held and scored at once
 _BLOCK_TRIALS = 1024
-_UNIT_ROUNDOFF = 2.0 ** -53  # binary64
 
 # ln k! for k = 0, 1, ..., len - 1, each as math.lgamma(k + 1) gives it;
 # grown on demand by _log_factorials and never written in place
@@ -75,48 +74,37 @@ def _trial_rngs(seed: int, purpose: int, hypothesis: int, trials: int):
         yield rng
 
 
-def _llr_score(counts, llr) -> float:
-    """L as a function of one row of symbol counts.
-
-    The reference reduction: `_llr_scores` falls back to it for every row
-    whose score lies too close to a threshold for its faster product to
-    decide, and sll_check uses it for every trial.
-    """
-    return float(np.dot(np.asarray(counts, dtype=np.float64), llr))
-
-
-def _llr_scores(counts, llr, cuts):
-    """L for each row of a (rows, K) count matrix, in one matrix product.
-
-    Each returned score lies on the same side of every cut in `cuts`, or on
-    it, as `_llr_score` of that row. A K-term dot product rounds by at most
-    gamma_K * sum |c_i l_i|, gamma_K = K u / (1 - K u), in any summation
-    order, FMA included (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1), and the counts convert exactly. So a
-    fast score farther than twice that from a cut classifies as
-    `_llr_score` does; the slack doubles it again, with K + 2 for K, to
-    cover the rounding of the bound itself. Rows inside the slack of a cut
-    are rescored by `_llr_score`.
-    """
+def _llr_scores(counts, llr):
+    """L for each row of a (rows, K) count block: c_1*l_1 + ... + c_K*l_K,
+    summed left to right, one numpy operation per column."""
     rows = np.asarray(counts, dtype=np.float64)
-    scores = rows @ llr
-    slack = (4 * (llr.size + 2) * _UNIT_ROUNDOFF) * (rows @ np.abs(llr))
-    near = np.zeros(scores.shape, dtype=bool)
-    for cut in cuts:
-        near |= np.abs(scores - cut) <= slack
-    for row in np.flatnonzero(near):
-        scores[row] = _llr_score(counts[row], llr)
+    scores = rows[:, 0] * llr[0]
+    for j in range(1, llr.size):
+        scores += rows[:, j] * llr[j]
     return scores
 
 
-def _event_masks(rows, llr, n: int, th: Thresholds) -> dict:
-    """Score a block of count rows and return each `EVENTS` mask, by name:
+def _trial_scores(pair: HypothesisPair, hypothesis: int, n: int, trials: int,
+                  seed: int, purpose: int):
+    """Yield the scores L of trials 0..trials-1 under one hypothesis, in
+    blocks of up to _BLOCK_TRIALS, each trial's n-sample counts drawn from
+    its own stream."""
+    llr = np.array(pair.llr12)
+    probs = np.asarray((pair.p1 if hypothesis == 1 else pair.p2).probs)
+    streams = _trial_rngs(seed, purpose, hypothesis, trials)
+    for _ in range(0, trials, _BLOCK_TRIALS):
+        rows = np.array([rng.multinomial(n, probs)
+                         for rng in islice(streams, _BLOCK_TRIALS)])
+        yield _llr_scores(rows, llr)
+
+
+def _event_masks(scores, n: int, th: Thresholds) -> dict:
+    """Return each `EVENTS` mask of a block of scores, by name:
     L <= n*lambda for a hypothesis-1 event, L >= n*lambda for a
     hypothesis-2 one, lambda the event's threshold. A score on a threshold
     meets the events of both sides."""
-    cuts = {side: n * getattr(th, side) for _, side in EVENTS.values()}
-    scores = _llr_scores(rows, llr, cuts.values())
-    return {name: scores <= cuts[side] if key[0] == 1 else scores >= cuts[side]
+    return {name: (scores <= n * getattr(th, side) if key[0] == 1
+                   else scores >= n * getattr(th, side))
             for name, (key, side) in EVENTS.items()}
 
 
@@ -236,16 +224,11 @@ def simulate_test(pair: HypothesisPair, config: SimConfig) -> SimResult:
     P_e estimates mix the PE_EVENTS pair of each by the priors.
     """
     check_admissible(pair, config.thresholds)
-    llr = np.array(pair.llr12)
     counts = dict.fromkeys(sorted(EVENTS), 0)
-    for hyp, pmf in ((1, pair.p1), (2, pair.p2)):
-        probs = np.asarray(pmf.probs)
-        streams = _trial_rngs(config.seed, _PURPOSE_SIMULATE, hyp,
-                              config.trials)
-        for _ in range(0, config.trials, _BLOCK_TRIALS):
-            rows = np.array([rng.multinomial(config.n, probs)
-                             for rng in islice(streams, _BLOCK_TRIALS)])
-            masks = _event_masks(rows, llr, config.n, config.thresholds)
+    for hyp in (1, 2):
+        for scores in _trial_scores(pair, hyp, config.n, config.trials,
+                                    config.seed, _PURPOSE_SIMULATE):
+            masks = _event_masks(scores, config.n, config.thresholds)
             for name, (key, _) in EVENTS.items():
                 if key[0] == hyp:
                     counts[name] += int(np.count_nonzero(masks[name]))
@@ -271,8 +254,8 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
         raise DomainError(f"n = {n} must be a positive integer")
     check_admissible(pair, th)
     ks = np.arange(n + 1)
-    masks = _event_masks(np.stack((n - ks, ks), axis=1), np.array(pair.llr12),
-                         n, th)
+    scores = _llr_scores(np.stack((n - ks, ks), axis=1), np.array(pair.llr12))
+    masks = _event_masks(scores, n, th)
     # ln C(n, k), from lg[k] = ln k!
     lg = _log_factorials(n)
     log_binom = lg[n] - lg - lg[::-1]
@@ -396,12 +379,8 @@ def sll_check(pair: HypothesisPair, hypothesis: int, n: int, trials: int,
         raise DomainError(f"trials = {trials} must be an integer >= 2 "
                           "(a standard error needs two trials)")
     _check_seed(seed)
-    llr = np.array(pair.llr12)
-    probs = np.asarray(pair.p1.probs if hypothesis == 1 else pair.p2.probs)
-    values = np.empty(trials)
-    streams = _trial_rngs(seed, _PURPOSE_SLLN, hypothesis, trials)
-    for trial, rng in enumerate(streams):
-        values[trial] = _llr_score(rng.multinomial(n, probs), llr) / n
+    values = np.concatenate(list(_trial_scores(pair, hypothesis, n, trials,
+                                               seed, _PURPOSE_SLLN))) / n
     return SllResult(
         mean=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(trials)),

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -35,11 +36,11 @@ from devex.montecarlo import (
     _BLOCK_TRIALS,
     _PURPOSE_SIMULATE,
     _PURPOSE_SLLN,
-    _llr_score,
+    _event_masks,
     _llr_scores,
 )
 
-from conftest import random_pair
+from conftest import random_pair, write_pair_file
 
 ESTIMATE_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "pe1", "pe2")
 
@@ -127,6 +128,16 @@ class TestSimulateTest:
             simulate_test(ex1_pair, cfg)
 
 
+def python_score(counts, llr):
+    """L of one count row in Python floats: float(c) * l, summed left to
+    right."""
+    terms = [float(c) * float(l) for c, l in zip(counts, llr)]
+    score = terms[0]
+    for term in terms[1:]:
+        score += term
+    return score
+
+
 def reference_scores(pair, purpose, hyp, n, trials, seed):
     """Per-trial LLR scores, each trial on its own freshly built Philox."""
     llr = np.array(pair.llr12)
@@ -136,7 +147,7 @@ def reference_scores(pair, purpose, hyp, n, trials, seed):
         tag = (purpose << 48) | (hyp << 32) | trial
         key = np.array([seed, tag], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        scores.append(_llr_score(rng.multinomial(n, probs), llr))
+        scores.append(python_score(rng.multinomial(n, probs), llr))
     return scores
 
 
@@ -176,7 +187,7 @@ class TestAgainstFreshStreams:
     @pytest.mark.parametrize("k", [2, 16])
     @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
     @pytest.mark.parametrize("hyp", [1, 2])
-    @pytest.mark.parametrize("trials", [2, 777])
+    @pytest.mark.parametrize("trials", [2, 777, 2 * _BLOCK_TRIALS + 1])
     def test_sll_check(self, k, seed, hyp, trials):
         pair = reference_pair(k)
         n = 30
@@ -193,37 +204,91 @@ def classify(scores, cuts):
 
 
 class TestLlrScores:
-    """The block scorer classifies every row as per-row _llr_score does."""
+    """The block scorer gives each row the left-to-right Python sum, bit for
+    bit, whatever block it is scored in."""
 
-    @pytest.mark.parametrize("k", [2, 3, 16, 1024])
-    @pytest.mark.parametrize("lattice", [False, True])
-    def test_cuts_on_and_beside_row_scores(self, k, lattice):
+    @staticmethod
+    def rows_and_llr(k, lattice):
         rng = np.random.default_rng(k)
         if lattice:
-            # multiples of one step: many rows of equal exact score that the
-            # two reductions round apart, as ex1's +-ln 1.5 does
+            # multiples of one step: many rows of equal exact score that
+            # different summation orders round apart, as ex1's +-ln 1.5 does
             llr = np.log(1.5) * rng.integers(-3, 4, size=k)
         else:
             llr = rng.normal(size=k)
         counts = rng.multinomial(10 * k, np.full(k, 1.0 / k), size=300)
-        exact = np.array([_llr_score(row, llr) for row in counts])
+        return rng, counts, llr
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 1024])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_rows_score_alike_alone_and_in_any_block(self, k, lattice):
+        _, counts, llr = self.rows_and_llr(k, lattice)
+        want = [python_score(row, llr).hex() for row in counts]
+        block = [float(v).hex() for v in _llr_scores(counts, llr)]
+        alone = [float(_llr_scores(row[None, :], llr)[0]).hex()
+                 for row in counts]
+        # rows 7..217 in a block of another size and offset
+        other = [float(v).hex() for v in _llr_scores(counts[7:218], llr)]
+        assert block == want
+        assert alone == want
+        assert other == want[7:218]
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 1024])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_cuts_on_and_beside_row_scores(self, k, lattice):
+        # at n = 1 each threshold is its own cut, so _event_masks compares
+        # the block's scores with cuts on a row's score and 1 ulp beside it
+        rng, counts, llr = self.rows_and_llr(k, lattice)
+        exact = np.array([python_score(row, llr) for row in counts])
+        scores = _llr_scores(counts, llr)
         for row in rng.choice(len(counts), size=20, replace=False):
             on = exact[row]
             cuts = (np.nextafter(on, -np.inf), on, np.nextafter(on, np.inf))
-            for cut_pair in ((cuts[0], cuts[2]), (on, on), (cuts[2], on)):
-                got = _llr_scores(counts, llr, cut_pair)
-                for (le, ge), (want_le, want_ge) in zip(
-                        classify(got, cut_pair), classify(exact, cut_pair)):
-                    np.testing.assert_array_equal(le, want_le)
-                    np.testing.assert_array_equal(ge, want_ge)
+            for upper, lower in ((cuts[2], cuts[0]), (on, on), (cuts[2], on)):
+                masks = _event_masks(scores, 1, Thresholds(upper, lower))
+                (le_up, ge_up), (le_low, ge_low) = classify(exact,
+                                                            (upper, lower))
+                np.testing.assert_array_equal(masks["alpha1"], le_up)
+                np.testing.assert_array_equal(masks["beta2"], ge_up)
+                np.testing.assert_array_equal(masks["alpha2"], le_low)
+                np.testing.assert_array_equal(masks["beta1"], ge_low)
+
+
+TIE_COMMAND = ("--n", "7", "--trials", "1000", "--seed", "0",
+               "--lambda-upper=-0.05792358687259491",
+               "--lambda-lower=-0.05792358687259491")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_tie_output_is_the_same_under_another_blas_kernel(tmp_path):
+    # lambda = L(k)/n for a lattice row of ex1 at n = 7: every trial with
+    # that k lies on both cuts, where a BLAS dot product's rounding, which
+    # depends on the kernel, would decide its events. Prescott needs only
+    # SSE3, so it runs on any x86-64 CPU.
+    path = write_pair_file(tmp_path / "ex1.json", ["0", "1"],
+                           [0.4, 0.6], [0.6, 0.4])
+    src = str(Path(devex.__file__).resolve().parents[1])
+    outs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-m", "devex.cli", "simulate", path, *TIE_COMMAND],
+            capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def reference_binary_tail(pair, n, th):
-    """exact_binary_tail as first written: one _llr_score call per k and
+    """exact_binary_tail as first written: one python_score call per k and
     ln k! from math.lgamma on every call."""
-    llr = np.array(pair.llr12)
+    llr = pair.llr12
     ks = np.arange(n + 1)
-    scores = np.array([_llr_score((n - k, k), llr) for k in ks])
+    scores = np.array([python_score((n - k, k), llr) for k in ks])
     t_upper = n * th.lambda_upper
     t_lower = n * th.lambda_lower
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
@@ -252,13 +317,13 @@ def reference_binary_tail(pair, n, th):
 def lattice_thresholds(pair, n, rng, count):
     """Up to `count` thresholds lambda inside the admissible window with
     n*lambda exactly equal to a lattice score L(k)."""
-    llr = np.array(pair.llr12)
+    llr = pair.llr12
     inside = [k for k in range(n + 1)
-              if -pair.d21 + 1e-9 < _llr_score((n - k, k), llr) / n
+              if -pair.d21 + 1e-9 < python_score((n - k, k), llr) / n
               < pair.d12 - 1e-9]
     out = []
     for k in rng.permutation(inside)[:count]:
-        score = _llr_score((n - k, k), llr)
+        score = python_score((n - k, k), llr)
         lam = score / n
         for _ in range(8):
             if n * lam == score:
@@ -286,20 +351,6 @@ class TestExactBinaryTailMatchesReference:
                 assert (repr(exact_binary_tail(pair, n, th))
                         == repr(reference_binary_tail(pair, n, th))), (pair, th)
         assert ties >= 60
-
-    def test_llr_score_calls_at_n_4000(self, ex1_pair, zero_th, monkeypatch):
-        calls = []
-        real = montecarlo._llr_score
-        monkeypatch.setattr(montecarlo, "_llr_score",
-                            lambda c, l: calls.append(tuple(c)) or real(c, l))
-        pair = reference_pair(2)
-        th = Thresholds(0.3 * pair.d12, -0.3 * pair.d21)
-        exact_binary_tail(pair, 4000, th)
-        assert len(calls) <= 4  # the per-k form made 4001
-        calls.clear()
-        # ex1 at zero thresholds: only k = n/2 lies on the cut
-        exact_binary_tail(ex1_pair, 4000, zero_th)
-        assert calls == [(2000, 2000)]
 
     def test_log_factorial_table(self):
         # a fresh interpreter, so the lazily grown ln k! table starts empty
