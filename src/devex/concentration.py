@@ -25,19 +25,19 @@ TWO_SIDED = "two-sided"
 
 class MartingaleParams(namedtuple("MartingaleParams", "d sigma_sq")):
     """Uniform per-step constants of a martingale: jump bound d (nats) and
-    conditional variance bound sigma_sq (nats squared). A conditional
-    variance cannot exceed the squared jump bound, so gamma = sigma_sq/d**2
-    always lands in (0, 1].
+    conditional variance bound sigma_sq (nats squared), both finite and
+    positive. A conditional variance cannot exceed the squared jump bound,
+    so gamma = sigma_sq/d**2 always lands in (0, 1].
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.d > 0.0:
-            raise DomainError(f"d = {self.d} must be > 0")
-        if not self.sigma_sq > 0.0:
-            raise DomainError(f"sigma_sq = {self.sigma_sq} must be > 0")
+        if not 0.0 < self.d < math.inf:
+            raise DomainError(f"d = {self.d} must be finite and > 0")
+        if not 0.0 < self.sigma_sq < math.inf:
+            raise DomainError(f"sigma_sq = {self.sigma_sq} must be finite and > 0")
         if self.sigma_sq > self.d * self.d:
             raise DomainError(
                 f"sigma_sq = {self.sigma_sq} exceeds d**2 = {self.d * self.d}"

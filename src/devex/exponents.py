@@ -357,22 +357,31 @@ def chernoff_information(pair: HypothesisPair) -> RateFunctionResult:
     return rate_function(pair, 0.0)
 
 
-class _Geometry(namedtuple("_Geometry", "stats epsilons deltas")):
-    """Intermediate threshold geometry shared by the two bound families;
-    stats maps each hypothesis index to its LlrStats."""
+def _components(pair: HypothesisPair, th: Thresholds):
+    """(epsilons, deltas, refined, azuma, gammas): the threshold geometry
+    and both bound families, from one walk of EVENTS.
 
-    __slots__ = ()
-
-
-def _geometry(pair: HypothesisPair, th: Thresholds) -> _Geometry:
+    Component (i, j) has eps = D12 - lambda (i = 1) or D21 + lambda (i = 2),
+    delta = eps/d_i, refined exponent refined_exponent(delta, gamma_i) and
+    Azuma exponent delta**2/2; each is computed once per distinct
+    (hypothesis, threshold), so equal thresholds share them.
+    """
     # degeneracy first: identical hypotheses should read as "no increments"
     # rather than as a threshold problem
-    stats = {i: llr_stats(pair, i) for i in (1, 2)}
+    stats = (llr_stats(pair, 1), llr_stats(pair, 2))
     d12, d21 = check_admissible(pair, th)
-    eps = {key: d12 - getattr(th, side) if key[0] == 1 else d21 + getattr(th, side)
-           for key, side in EVENTS.values()}
-    deltas = {key: eps[key] / stats[key[0]].d for key in COMPONENT_KEYS}
-    return _Geometry(stats=stats, epsilons=eps, deltas=deltas)
+    done, eps, deltas, refined, azuma = {}, {}, {}, {}, {}
+    for key, side in EVENTS.values():
+        i, lam = key[0], getattr(th, side)
+        if (i, lam) not in done:
+            st = stats[i - 1]
+            e = d12 - lam if i == 1 else d21 + lam
+            delta = e / st.d
+            done[i, lam] = (e, delta, refined_exponent(delta, st.gamma),
+                            0.5 * delta ** 2)
+        eps[key], deltas[key], refined[key], azuma[key] = done[i, lam]
+    return (eps, deltas, _min_over_i(refined), _min_over_i(azuma),
+            (stats[0].gamma, stats[1].gamma))
 
 
 def exact_exponents(pair: HypothesisPair, th: Thresholds) -> ExactExponents:
@@ -406,17 +415,6 @@ def _min_over_i(comps: dict) -> ExponentBounds:
         for pe, (a, b) in PE_EVENTS.items()})
 
 
-def _refined_bounds(geo: _Geometry) -> ExponentBounds:
-    return _min_over_i({
-        key: refined_exponent(geo.deltas[key], geo.stats[key[0]].gamma)
-        for key in COMPONENT_KEYS
-    })
-
-
-def _azuma_bounds(geo: _Geometry) -> ExponentBounds:
-    return _min_over_i({key: 0.5 * geo.deltas[key] ** 2 for key in COMPONENT_KEYS})
-
-
 def refined_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds:
     """Refined concentration lower bounds on the two P_e exponents.
 
@@ -425,12 +423,12 @@ def refined_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds
     bound for each j is the minimum over i. At zero thresholds the deltas
     reduce to D(P1||P2)/d_1 and D(P2||P1)/d_2.
     """
-    return _refined_bounds(_geometry(pair, th))
+    return _components(pair, th)[2]
 
 
 def azuma_lower_bounds(pair: HypothesisPair, th: Thresholds) -> ExponentBounds:
     """Azuma-based loosened lower bounds delta_{i,j}**2/2, minimized over i."""
-    return _azuma_bounds(_geometry(pair, th))
+    return _components(pair, th)[3]
 
 
 def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
@@ -440,10 +438,8 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
     slack) is verified before returning; a violation would mean a numerical
     defect, not a modeling choice, and raises NoConvergence.
     """
-    geo = _geometry(pair, th)
+    eps, deltas, refined, azuma, gammas = _components(pair, th)
     exact = _exact_exponents(pair, th)
-    refined = _refined_bounds(geo)
-    azuma = _azuma_bounds(geo)
     slack = 1e-12
     for label in PE_EVENTS:
         az, rf, ex = (getattr(azuma, label), getattr(refined, label),
@@ -458,13 +454,12 @@ def compare_report(pair: HypothesisPair, th: Thresholds) -> ExponentReport:
               else refined.components[key] / azuma.components[key])
         for key in COMPONENT_KEYS
     }
-    gammas = (geo.stats[1].gamma, geo.stats[2].gamma)
     return ExponentReport(
         exact=exact,
         refined=refined,
         azuma=azuma,
-        epsilons=dict(geo.epsilons),
-        deltas=dict(geo.deltas),
+        epsilons=eps,
+        deltas=deltas,
         gammas=gammas,
         gamma_inv=(1.0 / gammas[0], 1.0 / gammas[1]),
         improvement=improvement,

@@ -9,18 +9,18 @@ Sums use math.fsum (correctly rounded), so every scalar produced here is
 exactly invariant under a relabeling that permutes both distributions the
 same way.
 
-HypothesisPair holds the per-pair LLR table (both log ratios and their
-range, both divergences, both LlrStats), each computed at most once per
-pair object; every layer reads it instead of taking per-symbol logs
-itself. _tilt is the one home of the tilt weights and of H, which log_mgf
-returns; tilted_moments adds H' and H''.
+HypothesisPair holds the per-pair LLR table in two tiers, each built in one
+pass on the first read of any of its entries: the log ratios with their
+range and both divergences (_llr_table), then both LlrStats. Every layer
+reads it instead of taking per-symbol logs itself. _tilt is the one home of
+the tilt weights and of H, which log_mgf returns; tilted_moments adds H'
+and H''.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from operator import mul
 
 from .errors import (
@@ -83,10 +83,11 @@ class HypothesisPair(namedtuple("HypothesisPair", "p1 p2")):
     order), and their per-symbol LLR table in nats: llr12 = ln(P1(x)/P2(x)),
     llr21 = ln(P2(x)/P1(x)), its range llr21_range = (min, max), the
     divergences d12 = D(P1||P2), d21 = D(P2||P1), and the increment
-    statistics stats1, stats2 of llr_stats. Each table entry is computed on
-    first access and kept in the instance __dict__ (so this record has no
-    __slots__), where exponents also keeps the pair's solver constants;
-    equality, hashing and repr see only p1 and p2.
+    statistics stats1, stats2 of llr_stats. The first read of an entry
+    builds its tier (the first five, or both stats) into the instance
+    __dict__ (so this record has no __slots__), where exponents also keeps
+    the pair's solver constants; equality, hashing and repr see only p1 and
+    p2, and copies made by _make or _replace build their own.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -97,40 +98,42 @@ class HypothesisPair(namedtuple("HypothesisPair", "p1 p2")):
             )
         return self
 
-    @cached_property
-    def llr12(self) -> tuple[float, ...]:
-        return tuple(
-            math.log(a / b) for a, b in zip(self.p1.probs, self.p2.probs)
-        )
-
-    @cached_property
-    def llr21(self) -> tuple[float, ...]:
-        return tuple(
-            math.log(b / a) for a, b in zip(self.p1.probs, self.p2.probs)
-        )
-
-    @cached_property
-    def llr21_range(self) -> tuple[float, float]:
-        return min(self.llr21), max(self.llr21)
-
-    @cached_property
-    def d12(self) -> float:
-        return math.fsum(a * y for a, y in zip(self.p1.probs, self.llr12))
-
-    @cached_property
-    def d21(self) -> float:
-        return math.fsum(b * y for b, y in zip(self.p2.probs, self.llr21))
-
-    @cached_property
-    def stats1(self) -> LlrStats:
-        return _increment_stats(1, self.p1.probs, self.llr12, self.d12)
-
-    @cached_property
-    def stats2(self) -> LlrStats:
-        return _increment_stats(2, self.p2.probs, self.llr21, self.d21)
+    def __getattr__(self, name):
+        # reached only for names not yet in the instance __dict__
+        if name in _TABLE:
+            entries = zip(_TABLE, _llr_table(self.p1, self.p2))
+        elif name in _STATS:
+            entries = zip(_STATS, (
+                _increment_stats(1, self.p1.probs, self.llr12, self.d12),
+                _increment_stats(2, self.p2.probs, self.llr21, self.d21)))
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(entries)
+        return self.__dict__[name]
 
     def size(self) -> int:
         return len(self.p1)
+
+
+_TABLE = ("llr12", "llr21", "llr21_range", "d12", "d21")
+_STATS = ("stats1", "stats2")
+
+
+def _llr_table(p1: Pmf, p2: Pmf):
+    """(llr12, llr21, llr21_range, d12, d21) in one pass. A ratio P2/P1
+    with P1 subnormal can overflow; its log ratio is rejected, naming the
+    symbol."""
+    llr12, llr21 = [], []
+    for a, b in zip(p1.probs, p2.probs):
+        llr12.append(math.log(a / b))
+        llr21.append(math.log(b / a))
+    d12 = math.fsum(map(mul, p1.probs, llr12))
+    d21 = math.fsum(map(mul, p2.probs, llr21))
+    if math.isinf(d12 + d21):
+        x = next(x for x, u, v in zip(p1.labels, llr12, llr21) if math.isinf(u + v))
+        raise DomainError(f"the log ratio of symbol {x!r} overflows")
+    return tuple(llr12), tuple(llr21), (min(llr21), max(llr21)), d12, d21
 
 
 class LlrStats(namedtuple("LlrStats",

@@ -174,6 +174,18 @@ class TestExponentsCommand:
         assert out == ""
         assert "DegenerateIncrements" in err
 
+    def test_overflowing_log_ratio_exit_2(self, capsys, tmp_path):
+        # P2(b)/P1(b) = 0.5/5e-324 overflows, so ln(P2/P1) would be inf
+        path = tmp_path / "pair.json"
+        write_pair_file(path, ["a", "b"], [1.0, 5e-324], [0.5, 0.5])
+        rc = main(["exponents", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: DomainError:")
+        assert "symbol 'b'" in err
+        assert "Traceback" not in err
+
     def test_inadmissible_threshold_exit_2(self, capsys, ex1_pair_file):
         rc = main(["exponents", ex1_pair_file, "--lambda-upper", "0.9"])
         _, err = capsys.readouterr()
@@ -195,6 +207,18 @@ class TestExponentsCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("field,flags", [
+        ("d", ["--d", "inf", "--sigma-sq", "1"]),
+        ("sigma_sq", ["--d", "1", "--sigma-sq", "inf"]),
+    ])
+    def test_non_finite_parameter_exit_2(self, capsys, field, flags):
+        rc = main(["bounds", *flags, "--n", "10", "--alpha", "0.1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: DomainError: {field} = inf must be finite")
+        assert "Traceback" not in err
+
     def test_zero_deviation(self, capsys, schema):
         report = run_json(capsys, ["bounds", "--d", "1", "--sigma-sq", "1",
                                    "--n", "10", "--alpha", "0"])

@@ -24,7 +24,8 @@ from devex import (
     refined_lower_bounds,
 )
 
-from devex.exponents import _T_CAP
+from devex.concentration import refined_exponent
+from devex.exponents import _T_CAP, _T_TOL
 from conftest import random_pair
 
 
@@ -258,6 +259,50 @@ def dirichlet_pair(rng, size):
     return HypothesisPair(
         make_pmf(labels, list(rng.dirichlet(np.ones(size)))),
         make_pmf(labels, list(rng.dirichlet(np.ones(size)))))
+
+
+def skewed_pair(rng, size):
+    """Entries spread over about five decades in each PMF."""
+    labels = [str(i) for i in range(size)]
+    return HypothesisPair(*(
+        make_pmf(labels, list(w / w.sum()))
+        for w in np.exp(-rng.uniform(0.0, 12.0, size=(2, size)))))
+
+
+class TestSwapInvariance:
+    """Swapping P1 and P2 swaps the table exactly, and the exponents up to
+    the solver's tolerance. Each solve returns t within _T_TOL of its own
+    root, and the roots agree up to the rounding of the ratios, far below
+    that on these pairs: so t*' = 1 - t* holds within 2 _T_TOL. As
+    |r - H'(t)| <= span = hi - lo for any t, a value taken at such a t moves
+    by at most 2 span _T_TOL, which bounds |I'(r) - I(-r) - r| and |C' - C|.
+    """
+
+    @pytest.mark.parametrize("size", [2, 3, 64, 1024])
+    @pytest.mark.parametrize("make", [dirichlet_pair, skewed_pair])
+    def test_swap(self, make, size):
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            pair = make(rng, size)
+            swapped = HypothesisPair(pair.p2, pair.p1)
+            assert swapped.llr12 == pair.llr21 and swapped.llr21 == pair.llr12
+            assert swapped.llr21_range == (min(pair.llr12), max(pair.llr12))
+            assert (swapped.d12, swapped.d21) == (pair.d21, pair.d12)
+            # equal but for hypothesis_index
+            assert swapped.stats1[1:] == pair.stats2[1:]
+            assert swapped.stats2[1:] == pair.stats1[1:]
+
+            lo, hi = pair.llr21_range
+            tol = 2.0 * (hi - lo) * _T_TOL
+            c, t_star = chernoff_information(pair)
+            c_sw, t_sw = chernoff_information(swapped)
+            assert abs(c_sw - c) <= tol
+            assert abs(t_sw - (1.0 - t_star)) <= 2.0 * _T_TOL
+            for f in (0.1, 0.5, 0.9):
+                r = -pair.d12 + f * (pair.d12 + pair.d21)
+                res, res_sw = rate_function(pair, r), rate_function(swapped, -r)
+                assert abs(res_sw.value - (res.value - r)) <= tol
+                assert abs(res_sw.t_star - (1.0 - res.t_star)) <= 2.0 * _T_TOL
 
 
 class TestTiltBudget:
@@ -535,6 +580,25 @@ class TestCompareReport:
         # equal thresholds share one rate-function solve
         assert calls == {"llr_stats": 2, "check_admissible": 1, "kl_divergence": 0,
                          "rate_function": 1}
+
+    @pytest.mark.parametrize("th,distinct", [(Thresholds(0.0, 0.0), 2),
+                                             (Thresholds(0.05, -0.05), 4)])
+    def test_one_component_per_hypothesis_and_threshold(
+            self, monkeypatch, ex1_pair, th, distinct):
+        import devex.exponents as ex
+
+        calls = []
+
+        def counted(delta, gamma):
+            calls.append((delta, gamma))
+            return refined_exponent(delta, gamma)
+
+        monkeypatch.setattr(ex, "refined_exponent", counted)
+        rep = compare_report(ex1_pair, th)
+        assert len(calls) == distinct
+        want = {key: refined_exponent(rep.deltas[key], rep.gammas[key[0] - 1])
+                for key in rep.deltas}
+        assert rep.refined.components == want
 
     def test_ordering_on_random_instances(self):
         rng = np.random.default_rng(9)

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,7 @@ def reference_pair(k):
     return random_pair(np.random.default_rng(16), k)
 
 
-REFERENCE_SEEDS = (0, 8675309, 2 ** 63 - 1)
+REFERENCE_SEEDS = (0, 8675309, 2 ** 63 - 1, 2 ** 64 - 1)
 
 
 class TestAgainstFreshStreams:
@@ -583,6 +584,22 @@ class TestEmpiricalExponent:
         slope, intercept = empirical_exponent(pts, prefactor_power=0.5)
         assert slope == pytest.approx(0.05, abs=1e-12)
         assert intercept == pytest.approx(-math.log(c), abs=1e-12)
+
+    def test_matches_exact_rational_fit_far_from_zero(self):
+        # far from n = 0 the raw normal equations are ill-conditioned
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            pts = [(n, float(p))
+                   for n, p in zip((1000, 1001, 1003), rng.uniform(0.01, 0.99, 3))]
+            ns = [Fraction(n) for n, _ in pts]
+            ys = [Fraction(-math.log(p)) for _, p in pts]
+            n_bar, y_bar = sum(ns) / 3, sum(ys) / 3
+            slope = (sum((n - n_bar) * (y - y_bar) for n, y in zip(ns, ys))
+                     / sum((n - n_bar) ** 2 for n in ns))
+            got = empirical_exponent(pts)
+            assert all(type(v) is float for v in got)
+            assert got == pytest.approx((float(slope), float(y_bar - slope * n_bar)),
+                                        rel=64 * 2.0 ** -53, abs=0.0)
 
     @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_prefactor_power(self, power):

@@ -105,9 +105,70 @@ class TestHypothesisPair:
         assert {ex1_pair: 1}[twin] == 1
         assert ex1_pair != HypothesisPair(ex1_pair.p2, ex1_pair.p1)
 
+    def test_one_build_per_tier(self, monkeypatch):
+        import devex.probdist as pd
+
+        builds = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                builds.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(pd, "_llr_table", counted("table", pd._llr_table))
+        monkeypatch.setattr(pd, "_increment_stats",
+                            counted("stats", pd._increment_stats))
+        pair = random_pair(np.random.default_rng(8), 4)
+        for _ in range(3):
+            for name in ("d21", "llr12", "llr21", "llr21_range", "d12"):
+                getattr(pair, name)
+        assert builds == ["table"]
+        for _ in range(3):
+            assert llr_stats(pair, 2) is pair.stats2
+            assert llr_stats(pair, 1) is pair.stats1
+        # one fill of the statistics tier: both hypotheses at once
+        assert builds == ["table", "stats", "stats"]
+        # a fresh pair read from its statistics first builds the table once
+        builds.clear()
+        fresh = HypothesisPair(pair.p1, pair.p2)
+        assert fresh.stats1 == pair.stats1 and fresh.d12 == pair.d12
+        assert builds == ["table", "stats", "stats"]
+
+    def test_copies_build_their_own_table(self):
+        rng = np.random.default_rng(9)
+        pair, other = random_pair(rng, 5), random_pair(rng, 5)
+        assert pair.stats1 and pair.d21  # fill both tiers of the original
+        for copy in (pair._replace(p2=other.p2), pair._make((other.p1, pair.p2))):
+            assert not copy.__dict__
+            fresh = HypothesisPair(copy.p1, copy.p2)
+            assert copy.llr21 == fresh.llr21 != pair.llr21
+            assert copy.d12 == fresh.d12 and copy.stats2 == fresh.stats2
+        assert pair._make(pair).llr12 == pair.llr12
+
+    def test_identical_pair_degenerates_only_in_its_statistics(self):
+        p = make_pmf(["0", "1", "2"], [0.2, 0.3, 0.5])
+        pair = HypothesisPair(p, p)
+        assert pair.d12 == 0.0 and pair.d21 == 0.0
+        assert pair.llr12 == pair.llr21 == (0.0, 0.0, 0.0)
+        assert pair.llr21_range == (0.0, 0.0)
+        for name in ("stats1", "stats2", "stats1"):
+            with pytest.raises(DegenerateIncrements):
+                getattr(pair, name)
+        with pytest.raises(AttributeError, match="stats3"):
+            pair.stats3
+        assert not hasattr(pair, "llr")
+
+    def test_overflowing_log_ratio_names_the_symbol(self):
+        skew = make_pmf(["a", "b"], [1.0, 5e-324])
+        even = make_pmf(["a", "b"], [0.5, 0.5])
+        for pair in (HypothesisPair(skew, even), HypothesisPair(even, skew)):
+            with pytest.raises(DomainError, match="symbol 'b' overflows"):
+                pair.llr21
+
     def test_concurrent_first_reads_agree(self):
-        # cached_property takes no lock from Python 3.12 on, so first reads
-        # of one table may race; each racer computes the same value
+        # the lazy builds take no lock, so first reads of one table may
+        # race; each racer computes the same value
         rng = np.random.default_rng(7)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
