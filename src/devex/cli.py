@@ -5,6 +5,9 @@ machine-readable report on stdout:
 
     {"command": ..., "inputs": ..., "results": ...}
 
+The inputs echo every parsed option except NOT_INPUTS, plus the pair file's
+fields for the commands that read one; each handler returns the results.
+
 Numbers stay numbers (shortest round-trip representation); infinities become
 the string "inf" since JSON has none. Diagnostics go to stderr only, so the
 results stream stays pure JSON (or CSV under --csv). Exit codes: 0 success,
@@ -30,12 +33,16 @@ from .concentration import (
 )
 from .errors import DevexError, DomainError, NoConvergence
 from .exponents import EVENTS, PE_EVENTS, Thresholds, compare_report
-from .fisher import bernoulli_family, limit_ratios, ternary_family
+from .fisher import RatioRow, bernoulli_family, limit_ratios, ternary_family
 from .probdist import HypothesisPair, make_pmf
 
 log = logging.getLogger("devex.cli")
 
 PAIR_FIELDS = ("alphabet", "p1", "p2")
+# parsed arguments that a report does not echo as inputs: the subcommand and
+# its handler shape the report, --csv only its format, and --threads is
+# accepted but unused
+NOT_INPUTS = ("command", "handler", "csv", "threads")
 
 
 def _array_field(path: str, raw: dict, field: str) -> list:
@@ -85,44 +92,31 @@ def load_pair(path: str):
     return pair, raw
 
 
-def _component_items(prefix: str, table: dict):
-    for (i, j), value in sorted(table.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        yield f"{prefix}_i{i}j{j}", value
-
-
-def cmd_exponents(args) -> dict:
+def _pair_and_thresholds(args, inputs: dict):
+    """Load the pair file, echo its fields among the inputs, and read the
+    thresholds."""
     pair, raw = load_pair(args.pair_file)
-    th = Thresholds(lambda_upper=args.lambda_upper, lambda_lower=args.lambda_lower)
-    report = compare_report(pair, th)
+    inputs.update((f, raw[f]) for f in PAIR_FIELDS)
+    return pair, Thresholds(args.lambda_upper, args.lambda_lower)
+
+
+def cmd_exponents(args, inputs: dict) -> dict:
+    report = compare_report(*_pair_and_thresholds(args, inputs))
     results = {f"exact_{k}": v for k, v in report.exact._asdict().items()}
-    results.update({
-        "refined_lb_pe1": report.refined.pe1,
-        "refined_lb_pe2": report.refined.pe2,
-        "azuma_lb_pe1": report.azuma.pe1,
-        "azuma_lb_pe2": report.azuma.pe2,
-        "gamma1": report.gammas[0],
-        "gamma2": report.gammas[1],
-        "gamma_inv1": report.gamma_inv[0],
-        "gamma_inv2": report.gamma_inv[1],
-    })
-    results.update(_component_items("refined_lb", report.refined.components))
-    results.update(_component_items("azuma_lb", report.azuma.components))
-    results.update(_component_items("epsilon", report.epsilons))
-    results.update(_component_items("delta", report.deltas))
-    results.update(_component_items("improvement", report.improvement))
-    return {
-        "command": "exponents",
-        "inputs": {
-            "pair_file": args.pair_file,
-            **{f: raw[f] for f in PAIR_FIELDS},
-            "lambda_upper": args.lambda_upper,
-            "lambda_lower": args.lambda_lower,
-        },
-        "results": results,
-    }
+    for prefix, bounds in (("refined_lb", report.refined), ("azuma_lb", report.azuma)):
+        results.update((f"{prefix}_{pe}", getattr(bounds, pe)) for pe in PE_EVENTS)
+    for i in (1, 2):
+        results[f"gamma{i}"] = report.gammas[i - 1]
+        results[f"gamma_inv{i}"] = report.gamma_inv[i - 1]
+    tables = {"refined_lb": report.refined.components,
+              "azuma_lb": report.azuma.components, "epsilon": report.epsilons,
+              "delta": report.deltas, "improvement": report.improvement}
+    results.update((f"{prefix}_i{i}j{j}", value) for prefix, table in tables.items()
+                   for (i, j), value in table.items())
+    return results
 
 
-def cmd_bounds(args) -> dict:
+def cmd_bounds(args, inputs: dict) -> dict:
     params = MartingaleParams(d=args.d, sigma_sq=args.sigma_sq)
     sided = ONE_SIDED if args.sided == "one" else TWO_SIDED
     delta = params.delta(args.alpha)
@@ -131,26 +125,11 @@ def cmd_bounds(args) -> dict:
     # n rounded additions or an n-step loop; refined_bound has checked n
     azuma = azuma_bound((args.d * math.sqrt(args.n),), args.alpha * args.n)
     floor = quad_cubic_floor(delta, params.gamma) if delta <= 1.0 else None
-    return {
-        "command": "bounds",
-        "inputs": {
-            "d": args.d,
-            "sigma_sq": args.sigma_sq,
-            "n": args.n,
-            "alpha": args.alpha,
-            "sided": args.sided,
-        },
-        "results": {
-            "azuma": azuma,
-            "refined": refined,
-            "delta": delta,
-            "gamma": params.gamma,
-            "quad_cubic_floor": floor,
-        },
-    }
+    return {"azuma": azuma, "refined": refined, "delta": delta,
+            "gamma": params.gamma, "quad_cubic_floor": floor}
 
 
-def cmd_fisher(args) -> dict:
+def cmd_fisher(args, inputs: dict) -> dict:
     if args.family == "bernoulli":
         if args.alpha is not None:
             raise DevexError("--alpha only applies to the ternary family")
@@ -163,39 +142,23 @@ def cmd_fisher(args) -> dict:
         offsets = [float(tok) for tok in args.offsets.split(",") if tok.strip()]
     except ValueError as e:
         raise DevexError(f"--offsets: {e}") from e
+    inputs["offsets"] = offsets
     report = limit_ratios(family, args.theta, offsets)
-    return {
-        "command": "fisher",
-        "inputs": {
-            "family": args.family,
-            "alpha": args.alpha,
-            "theta": args.theta,
-            "offsets": offsets,
-        },
-        "results": {
-            "j": report.j,
-            "offsets": [row.h for row in report.rows],
-            "divergence_ratio": [row.divergence_ratio for row in report.rows],
-            "chernoff_ratio": [row.chernoff_ratio for row in report.rows],
-            "el_ratio": [row.el_ratio for row in report.rows],
-            "loosened_ratio": [row.loosened_ratio for row in report.rows],
-            "divergence_limit": report.divergence_limit,
-            "chernoff_limit": report.chernoff_limit,
-            "el_limit": report.el_limit,
-            "loosened_limit": report.loosened_limit,
-            "a_theta": report.a_theta,
-        },
-    }
+    # one list per RatioRow field, the offsets h under the name "offsets"
+    results = dict(zip(("offsets", *RatioRow._fields[1:]),
+                       map(list, zip(*report.rows))))
+    results.update((k, v) for k, v in report._asdict().items()
+                   if k not in ("theta", "rows"))
+    return results
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args, inputs: dict) -> dict:
     # the only subcommand that needs numpy, so only it loads it
     from .montecarlo import SimConfig, exact_binary_tail, simulate_test
 
     if args.threads < 1:
         raise DomainError(f"threads = {args.threads} must be a positive integer")
-    pair, raw = load_pair(args.pair_file)
-    th = Thresholds(lambda_upper=args.lambda_upper, lambda_lower=args.lambda_lower)
+    pair, th = _pair_and_thresholds(args, inputs)
     config = SimConfig(
         n=args.n,
         trials=args.trials,
@@ -213,25 +176,10 @@ def cmd_simulate(args) -> dict:
         exact = dict(tails._asdict(), **{
             pe: pi1 * getattr(tails, a) + pi2 * getattr(tails, b)
             for pe, (a, b) in PE_EVENTS.items()})
-    # the thread count is accepted but unused, so it is not part of the
-    # echoed inputs
     return {
-        "command": "simulate",
-        "inputs": {
-            "pair_file": args.pair_file,
-            **{f: raw[f] for f in PAIR_FIELDS},
-            "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "lambda_upper": args.lambda_upper,
-            "lambda_lower": args.lambda_lower,
-            "pi1": args.pi1,
-        },
-        "results": {
-            **{k: getattr(result, k)._asdict() for k in (*EVENTS, *PE_EVENTS)},
-            "counts": dict(result.counts),
-            "exact": exact,
-        },
+        **{k: getattr(result, k)._asdict() for k in (*EVENTS, *PE_EVENTS)},
+        "counts": dict(result.counts),
+        "exact": exact,
     }
 
 
@@ -349,16 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs = {k: v for k, v in vars(args).items() if k not in NOT_INPUTS}
     try:
-        report = args.handler(args)
-    except NoConvergence as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        report = {"command": args.command, "inputs": inputs,
+                  "results": args.handler(args, inputs)}
     except DevexError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, NoConvergence) else 2
     emit(report, args.csv)
     return 0
 

@@ -46,7 +46,9 @@ class MartingaleParams(namedtuple("MartingaleParams", "d sigma_sq")):
 
     @property
     def gamma(self) -> float:
-        return self.sigma_sq / (self.d * self.d)
+        dd = self.d * self.d
+        # d**2 overflows above d of about 1.3e154, where gamma need not
+        return self.sigma_sq / dd if dd < math.inf else self.sigma_sq / self.d / self.d
 
     def delta(self, alpha: float) -> float:
         """Normalized per-step deviation rate alpha/d."""
@@ -64,6 +66,7 @@ def azuma_bound(jump_bounds, r: float) -> float:
     """
     if r < 0.0:
         raise DomainError(f"r = {r} must be >= 0")
+    jump_bounds = tuple(jump_bounds)
     total = 0.0
     for d in jump_bounds:
         if d < 0.0:
@@ -73,6 +76,11 @@ def azuma_bound(jump_bounds, r: float) -> float:
         return 2.0
     if total == 0.0:
         return 0.0
+    if math.isinf(r * r) or math.isinf(total):
+        # a square overflowed: hypot sums the squares without forming them,
+        # and x * x may still overflow, to inf, giving exp(-inf) = 0
+        x = r / math.hypot(*jump_bounds)
+        return 2.0 * math.exp(-0.5 * x * x)
     return 2.0 * math.exp(-r * r / (2.0 * total))
 
 
@@ -176,4 +184,9 @@ def quad_cubic_floor(delta: float, gamma: float) -> float:
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside (0, 1]")
     d2 = delta * delta
+    if gamma * gamma == 0.0:
+        # gamma**2 underflows below gamma of about 1.6e-162: factor out
+        # u = delta/gamma, so an overflow gives -inf rather than inf - inf
+        u = delta / gamma
+        return 0.5 * delta * u * (1.0 - u / (3.0 * (1.0 + gamma)))
     return d2 / (2.0 * gamma) - d2 * delta / (6.0 * gamma * gamma * (1.0 + gamma))

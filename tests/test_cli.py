@@ -283,6 +283,35 @@ class TestBoundsCommand:
             want = 2 * mpmath.exp(-r * r / (2 * n * mpmath.mpf(d) ** 2))
             assert abs(res["azuma"] - want) <= 1e-15 * want
 
+    def test_huge_jump_bound(self, capsys, schema):
+        # d**2 and (d sqrt(n))**2 overflow, yet gamma = 1e-100 and the Azuma
+        # exponent n (alpha/d)**2 / 2 = 5 are ordinary numbers
+        report = run_json(capsys, ["bounds", "--d", "1e200", "--sigma-sq",
+                                   "1e300", "--n", "10", "--alpha", "1e200"])
+        jsonschema.validate(report, schema)
+        res = report["results"]
+        assert abs(res["gamma"] - 1e-100) <= math.ulp(1e-100)
+        assert all(math.isfinite(v) for v in res.values())
+        assert res["azuma"] == pytest.approx(2.0 * math.exp(-5.0), rel=1e-14)
+
+    def test_overflowing_deviation_gives_zero(self, capsys):
+        # (alpha n)**2 overflows; delta > 1 is an impossible deviation
+        res = run_json(capsys, ["bounds", "--d", "1", "--sigma-sq", "1",
+                                "--n", "1", "--alpha", "1e200"])["results"]
+        assert res["azuma"] == 0.0
+        assert res["refined"] == 0.0
+
+    def test_underflowing_gamma_squared(self, capsys, schema):
+        # gamma = 1e-200, so gamma**2 underflows to 0 in the floor's cubic
+        # term, which is below every float: the floor reads -inf
+        report = run_json(capsys, ["bounds", "--d", "1e200", "--sigma-sq",
+                                   "1e200", "--n", "10", "--alpha", "1e200"])
+        jsonschema.validate(report, schema)
+        res = report["results"]
+        assert res["gamma"] == 1e-200
+        assert res["quad_cubic_floor"] == "-inf"
+        assert res["azuma"] == pytest.approx(2.0 * math.exp(-5.0), rel=1e-14)
+
     def test_variance_above_span_exit_2(self, capsys):
         rc = main(["bounds", "--d", "1", "--sigma-sq", "1.5", "--n", "10",
                    "--alpha", "0"])
@@ -455,6 +484,21 @@ class TestSimulateCommand:
         assert "counts.alpha1" in table
         assert float(table["alpha1.value"]) == pytest.approx(
             int(table["counts.alpha1"]) / 100)
+
+
+class TestReportSchema:
+    def test_inputs_are_pinned_per_command(self, capsys, ex1_pair_file,
+                                           schema):
+        report = run_json(capsys, ["simulate", ex1_pair_file, "--n", "10",
+                                   "--trials", "20", "--threads", "2"])
+        jsonschema.validate(report, schema)
+        extra = json.loads(json.dumps(report))
+        extra["inputs"]["threads"] = 2
+        missing = json.loads(json.dumps(report))
+        del missing["inputs"]["pi1"]
+        for bad in (extra, missing):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
 
 
 class TestLogging:

@@ -69,6 +69,23 @@ class TestAzumaBound:
     def test_may_exceed_one(self):
         assert azuma_bound([1.0] * 4, 2.0) > 1.0
 
+    @pytest.mark.parametrize("jumps,r,scale", [
+        ([1.0], 2.0, 1e154),            # r**2 overflows, the sum does not
+        ([1.0, 2.0, 2.0], 3.0, 1e200),  # both overflow
+    ])
+    def test_scale_invariant_where_squares_overflow(self, jumps, r, scale):
+        scaled = azuma_bound([scale * d for d in jumps], scale * r)
+        assert scaled == pytest.approx(azuma_bound(jumps, r), rel=1e-14)
+
+    def test_overflowing_exponent_gives_zero(self):
+        # r**2 overflows and so does (r/d)**2: the bound is exp(-inf) = 0
+        assert azuma_bound([1.0], 1e200) == 0.0
+
+    def test_overflowing_deviation_against_finite_sum(self):
+        # r**2 = 1e310 overflows, sum d**2 = 1e308 does not: exponent 50
+        got = azuma_bound([1e153] * 100, 1e155)
+        assert got == pytest.approx(2.0 * math.exp(-50.0), rel=1e-13)
+
 
 class TestRefinedBound:
     def test_zero_alpha_gives_sidedness_constant(self):
@@ -204,6 +221,17 @@ class TestQuadCubicFloor:
         got = quad_cubic_floor(0.9, 0.1)
         assert got < 0.0
         assert binary_kl((0.9 + 0.1) / 1.1, 0.1 / 1.1) >= got
+
+    @pytest.mark.parametrize("delta,gamma", [(1e-170, 1e-200), (1e-150, 1e-300)])
+    def test_gamma_squared_underflows(self, delta, gamma):
+        # gamma**2 is 0; delta**2/(2 gamma) (1 - delta/(3 gamma (1+gamma)))
+        want = delta * delta / (2.0 * gamma) * (1.0 - delta / (3.0 * gamma))
+        assert quad_cubic_floor(delta, gamma) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1e-200, 5e-324])
+    def test_overflow_gives_minus_inf(self, gamma):
+        # the cubic term delta**3/(6 gamma**2) exceeds every float
+        assert quad_cubic_floor(1.0, gamma) == -math.inf
 
     @pytest.mark.parametrize("d,g", [(-0.1, 0.5), (1.1, 0.5), (0.5, 0.0),
                                      (0.5, -0.1), (0.5, 1.1)])

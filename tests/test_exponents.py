@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from devex import (
     refined_lower_bounds,
 )
 
+import devex.exponents as ex
 from devex.concentration import refined_exponent
 from devex.exponents import _T_CAP, _T_TOL
 from conftest import random_pair
@@ -447,6 +450,85 @@ class TestCertifiedStop:
                      + abs(t_star * r) + abs(t_star * r - want))
             assert abs(res.value - want) <= 4 * u * scale, (pair, r)
         assert stops >= 15 and bounded >= 100
+
+
+def runs_guarded_line(fn, guard, call):
+    """(reached, result): whether call() executes the statement under the
+    line of fn that contains the text guard, as sys.settrace sees it."""
+    lines, first = inspect.getsourcelines(fn)
+    target = first + 1 + next(i for i, text in enumerate(lines) if guard in text)
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is fn.__code__ else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return target in seen, result
+
+
+# P1 puts 1e-300 on its range-end symbol: H'(0) = -D12 rounds to the low end
+# of the range, and the subnormal-weight term of _solver_table's bounds is
+# large, so its cut and err1 outweigh the tilted variance near that end
+TINY_P1 = ([1.0, 1e-300], [0.5, 0.5])
+
+
+class TestSolverGuards:
+    """Inputs that reach the solver's fallbacks, which no other test does,
+    checked against the 50-digit mp_rate at TestRateFunctionEdges'
+    tolerances. r is 0 (the Chernoff point) or at a fraction of the range."""
+
+    @pytest.mark.parametrize("fn,guard,p1,p2,where", [
+        pytest.param("_quintic_fit", "if not min(p0, q0, p1, q1) > 0.0",
+                     *TINY_P1, 0.0, id="quintic-fit-none"),
+        # the fit's slope is negative near the chord guess
+        pytest.param("_warm_start", "if not slope > 0.0",
+                     [1e-8, 1e-4, 0.99989999], [0.01, 0.001, 0.989], 0.0,
+                     id="warm-start-chord"),
+        pytest.param("_newton_point", "if not v > 0.0",
+                     *TINY_P1, 1e-9, id="newton-variance-below-cut"),
+        pytest.param("_newton_point", "if not span * rho0 <= 0.1",
+                     *TINY_P1, 1e-7, id="newton-far-from-root"),
+        # a doubling step overshoots to a tilt whose H' rounds to the range end
+        pytest.param("rate_function", "if not (0.0 < slope < math.inf",
+                     [0.9, 0.1], [1e-5, 1 - 1e-5], 1e-7,
+                     id="bisection-step"),
+    ])
+    def test_guard_reached_and_result_matches_oracle(self, fn, guard, p1, p2, where):
+        mpmath = pytest.importorskip("mpmath")
+        labels = "abc"[:len(p1)]
+        pair = HypothesisPair(make_pmf(labels, p1), make_pmf(labels, p2))
+        lo, hi = pair.llr21_range
+        r = lo + where * (hi - lo) if where else 0.0
+        reached, res = runs_guarded_line(getattr(ex, fn), guard,
+                                         lambda: rate_function(pair, r))
+        assert reached
+        want, t_star = mp_rate(mpmath, pair, r)
+        assert res.value == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert res.t_star == pytest.approx(t_star, rel=0.0, abs=1e-8)
+
+    def test_newton_point_declines_below_rounding_of_sd(self):
+        # sqrt(H'' - cut) <= eta needs H'' in (cut, cut + eta**2]. When
+        # positive, H'' - cut is at least u cut, which exceeds eta**2 once y =
+        # max |ln(P2/P1)| > 0.54; on this near-identical pair (y = 1e-3) the
+        # window is 7e-12 of cut wide, which no seeded solve lands in, so
+        # the tilt is given directly
+        pair = HypothesisPair(make_pmf("ab", [0.5, 0.5]),
+                              make_pmf("ab", [0.5005, 0.4995]))
+        table = ex._solver_table(pair)
+        var = table.cut + 0.25 * table.eta ** 2
+        assert var > table.cut
+        reached, point = runs_guarded_line(
+            ex._newton_point, "if not sd > 0.0",
+            lambda: ex._newton_point(table, 0.5, 0.0, 0.0, 0.0, var))
+        assert reached and point is None
 
 
 class TestExactExponents:
