@@ -38,17 +38,20 @@ class MartingaleParams(namedtuple("MartingaleParams", "d sigma_sq")):
             raise DomainError(f"d = {self.d} must be finite and > 0")
         if not 0.0 < self.sigma_sq < math.inf:
             raise DomainError(f"sigma_sq = {self.sigma_sq} must be finite and > 0")
-        if self.sigma_sq > self.d * self.d:
+        if self.gamma > 1.0:
             raise DomainError(
-                f"sigma_sq = {self.sigma_sq} exceeds d**2 = {self.d * self.d}"
+                f"sigma_sq = {self.sigma_sq} exceeds d**2 (gamma = {self.gamma})"
             )
         return self
 
     @property
     def gamma(self) -> float:
         dd = self.d * self.d
-        # d**2 overflows above d of about 1.3e154, where gamma need not
-        return self.sigma_sq / dd if dd < math.inf else self.sigma_sq / self.d / self.d
+        # d**2 overflows above d of about 1.3e154, where gamma need not, and
+        # is subnormal, so short of bits, below d of about 1.5e-154
+        if sys.float_info.min <= dd < math.inf:
+            return self.sigma_sq / dd
+        return self.sigma_sq / self.d / self.d
 
     def delta(self, alpha: float) -> float:
         """Normalized per-step deviation rate alpha/d."""
@@ -184,9 +187,10 @@ def quad_cubic_floor(delta: float, gamma: float) -> float:
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside (0, 1]")
     d2 = delta * delta
-    if gamma * gamma == 0.0:
-        # gamma**2 underflows below gamma of about 1.6e-162: factor out
-        # u = delta/gamma, so an overflow gives -inf rather than inf - inf
+    if gamma * gamma < sys.float_info.min:
+        # gamma**2 is subnormal below gamma of about 1.5e-154, and 0 below
+        # about 1.6e-162: factor out u = delta/gamma, so no bits are lost
+        # and an overflow gives -inf rather than inf - inf
         u = delta / gamma
         return 0.5 * delta * u * (1.0 - u / (3.0 * (1.0 + gamma)))
     return d2 / (2.0 * gamma) - d2 * delta / (6.0 * gamma * gamma * (1.0 + gamma))

@@ -188,24 +188,9 @@ def _wilson(count: int, total: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _make_estimate(value: float, lo: float, hi: float, n: int) -> Estimate:
+def _estimate(value: float, lo: float, hi: float, n: int) -> Estimate:
     exponent = math.inf if value == 0.0 else -math.log(value) / n
-    return Estimate(value=value, ci_low=lo, ci_high=hi,
-                    empirical_exponent=exponent)
-
-
-def _estimate(count: int, trials: int, n: int) -> Estimate:
-    return _make_estimate(count / trials, *_wilson(count, trials), n)
-
-
-def _mix_estimates(a: Estimate, b: Estimate, pi1: float, pi2: float,
-                   n: int) -> Estimate:
-    # a prior mixture of two binomials has no exact Wilson interval; the
-    # prior-weighted endpoints contain the mixture whenever each side's
-    # interval contains its own value
-    return _make_estimate(pi1 * a.value + pi2 * b.value,
-                          pi1 * a.ci_low + pi2 * b.ci_low,
-                          pi1 * a.ci_high + pi2 * b.ci_high, n)
+    return Estimate(value, lo, hi, exponent)
 
 
 def simulate_test(pair: HypothesisPair, config: SimConfig) -> SimResult:
@@ -225,10 +210,17 @@ def simulate_test(pair: HypothesisPair, config: SimConfig) -> SimResult:
             for name, (key, _) in EVENTS.items():
                 if key[0] == hyp:
                     counts[name] += int(np.count_nonzero(masks[name]))
-    est = {name: _estimate(counts[name], config.trials, config.n)
+    est = {name: _estimate(counts[name] / config.trials,
+                           *_wilson(counts[name], config.trials), config.n)
            for name in EVENTS}
+    # a prior mixture of two binomials has no exact Wilson interval; the
+    # prior-weighted endpoints contain the mixture whenever each side's
+    # interval contains its own value
     pi1, pi2 = config.priors
-    est.update({pe: _mix_estimates(est[a], est[b], pi1, pi2, config.n)
+    est.update({pe: _estimate(pi1 * est[a].value + pi2 * est[b].value,
+                              pi1 * est[a].ci_low + pi2 * est[b].ci_low,
+                              pi1 * est[a].ci_high + pi2 * est[b].ci_high,
+                              config.n)
                 for pe, (a, b) in PE_EVENTS.items()})
     return SimResult(n=config.n, trials=config.trials, counts=counts, **est)
 
@@ -253,9 +245,11 @@ def exact_binary_tail(pair: HypothesisPair, n: int,
     lg = _log_factorials(n)
     log_binom = lg[n] - lg - lg[::-1]
 
-    # ln Bin(k; n, P(second symbol)) under each hypothesis
-    logpmfs = {i: log_binom + ks * math.log(q) + (n - ks) * math.log1p(-q)
-               for i, q in ((1, pair.p1.probs[1]), (2, pair.p2.probs[1]))}
+    # ln Bin(k; n, P(second symbol)) under each hypothesis, from the log
+    # mass of each symbol: log1p(-P(second)) fails at P(second) = 1.0,
+    # which a valid pmf can store when the other mass is below an ulp
+    logpmfs = {i: log_binom + ks * math.log(p[1]) + (n - ks) * math.log(p[0])
+               for i, p in ((1, pair.p1.probs), (2, pair.p2.probs))}
 
     def tail(logpmf, mask) -> float:
         if not mask.any():

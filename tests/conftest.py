@@ -25,6 +25,15 @@ def ex2_pair():
 
 
 @pytest.fixture
+def oracle():
+    """The 50-digit reference module, tests/oracle.py; skips without mpmath.
+    Any other import failure is an error, not a skip."""
+    pytest.importorskip("mpmath")
+    import oracle
+    return oracle
+
+
+@pytest.fixture
 def zero_th():
     return Thresholds(lambda_upper=0.0, lambda_lower=0.0)
 

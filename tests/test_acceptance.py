@@ -9,7 +9,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, "tests")
 from conftest import random_pair, write_pair_file
@@ -43,13 +42,6 @@ from devex.cli import main as cli_main
 from devex.probdist import tilted_moments
 
 COMPONENT_KEYS = ((1, 1), (2, 1), (1, 2), (2, 2))
-
-
-def logsumexp(a, axis=None):
-    """ln sum exp(a) along axis, shifted by the largest entry so no exp
-    overflows and the largest term is exactly 1."""
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def verdict(num, ok, detail):
@@ -104,47 +96,19 @@ def test_04_narrow_binary_suite(ex2_pair, zero_th):
                    f"E_L={el:.6e} (1.997e-4+-5e-7 {'ok' if ok_el else 'off'})")
 
 
-def test_05_rate_function_matches_grid_oracle():
+def test_05_rate_function_matches_mpmath_oracle(oracle):
     rng = np.random.default_rng(555)
-    t_grid = np.arange(-8.0, 8.0 + 5e-5, 1e-4)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         pair = random_pair(rng, int(rng.integers(2, 7)))
-        logp1 = np.log(np.asarray(pair.p1.probs))
-        logp2 = np.log(np.asarray(pair.p2.probs))
-        h_grid = logsumexp(np.outer(1.0 - t_grid, logp1)
-                           + np.outer(t_grid, logp2), axis=1)
-
-        def h_at(t):
-            return float(logsumexp((1.0 - t) * logp1 + t * logp2))
-
+        p1, p2 = oracle.exact_pair(pair)
         for _ in range(10):
             r = tilted_moments(pair, float(rng.uniform(-2.0, 3.0)))[1]
-            vals = t_grid * r - h_grid
-            i = int(np.argmax(vals))
-            a = t_grid[i] - 2e-4
-            b = t_grid[i] + 2e-4
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            gc = c * r - h_at(c)
-            gd = d * r - h_at(d)
-            while b - a > 1e-13:
-                if gc > gd:
-                    b, d, gd = d, c, gc
-                    c = b - invphi * (b - a)
-                    gc = c * r - h_at(c)
-                else:
-                    a, c, gc = c, d, gd
-                    d = a + invphi * (b - a)
-                    gd = d * r - h_at(d)
-            mid = 0.5 * (a + b)
-            oracle = max(float(vals[i]), gc, gd, mid * r - h_at(mid))
-            worst = max(worst, abs(rate_function(pair, r).value - oracle))
+            worst = max(worst, abs(rate_function(pair, r).value - oracle.rate(p1, p2, r)[0]))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
-    verdict(5, ok, f"max |I - grid sup| = {worst:.3e} over 1000 evaluations "
+    verdict(5, ok, f"max |I - 50-digit I| = {worst:.3e} over 1000 evaluations "
                    f"(tol 1e-8), {elapsed:.1f}s (budget 30)")
 
 

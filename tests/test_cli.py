@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -312,6 +313,19 @@ class TestBoundsCommand:
         assert res["quad_cubic_floor"] == "-inf"
         assert res["azuma"] == pytest.approx(2.0 * math.exp(-5.0), rel=1e-14)
 
+    def test_subnormal_squares(self, capsys):
+        # d**2 = 1e-320 and gamma**2 = 1e-316 are subnormal, short of bits:
+        # the plain quotients read gamma 0.5 and a floor of 5.0e-159
+        res = run_json(capsys, ["bounds", "--d", "1e-160", "--sigma-sq", "5e-321",
+                                "--n", "10", "--alpha", "1e-161"])["results"]
+        want = Fraction(5e-321) / Fraction(1e-160) ** 2
+        assert res["gamma"] == pytest.approx(float(want), rel=1e-15)   # 0.49999443
+        res = run_json(capsys, ["bounds", "--d", "1", "--sigma-sq", "1e-158",
+                                "--n", "10", "--alpha", "1e-158"])["results"]
+        g = Fraction(1e-158)    # delta = gamma
+        want = g * g / (2 * g) - g ** 3 / (6 * g * g * (1 + g))
+        assert res["quad_cubic_floor"] == pytest.approx(float(want), rel=1e-14)
+
     def test_variance_above_span_exit_2(self, capsys):
         rc = main(["bounds", "--d", "1", "--sigma-sq", "1.5", "--n", "10",
                    "--alpha", "0"])
@@ -430,6 +444,18 @@ class TestSimulateCommand:
             assert est["ci_low"] <= exact[k] <= est["ci_high"]
         assert exact["pe1"] == pytest.approx(
             0.5 * exact["alpha1"] + 0.5 * exact["beta1"], rel=1e-12)
+
+    def test_second_mass_of_one(self, capsys, tmp_path, schema):
+        # 1e-300 + 1.0 rounds to 1.0, so P1 stores P(b) = 1.0 exactly and
+        # log1p(-P(b)) is out of its domain; alpha1 = 1 - P(b)**5 = 5e-300
+        path = write_pair_file(tmp_path / "pair.json", ["a", "b"],
+                               [1e-300, 1.0], [0.5, 0.5])
+        report = run_json(capsys, ["simulate", path, "--n", "5",
+                                   "--trials", "10", "--seed", "1"])
+        jsonschema.validate(report, schema)
+        exact = report["results"]["exact"]
+        assert all(math.isfinite(v) for v in exact.values())
+        assert exact["alpha1"] == pytest.approx(5e-300, rel=1e-12)
 
     def test_ternary_has_no_exact_block(self, capsys, tmp_path, schema):
         path = tmp_path / "pair.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ class TestMartingaleParams:
 
     def test_variance_at_jump_bound_allowed(self):
         assert MartingaleParams(d=1.0, sigma_sq=1.0).gamma == 1.0
+
+    def test_subnormal_square_is_not_compared_rounded(self):
+        # d*d rounds up to sigma_sq, which exceeds the exact d**2 by 2.9e-4
+        d, s = 8.374794722679042e-161, 7.016e-321
+        assert d * d == s and Fraction(s) > Fraction(d) ** 2
+        with pytest.raises(DomainError, match=r"exceeds d\*\*2 \(gamma = 1\.0002"):
+            MartingaleParams(d, s)
+
+    def test_ordinary_inputs_take_the_plain_quotient(self):
+        # only a subnormal or overflowing d**2 divides twice
+        rng = np.random.default_rng(4)
+        for d, f in zip(10.0 ** rng.uniform(-150.0, 150.0, 2000),
+                        rng.uniform(1e-3, 1.0, 2000)):
+            d, s = float(d), float(d * d * f)
+            assert MartingaleParams(d, s).gamma == s / (d * d)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(DomainError):
@@ -227,6 +243,17 @@ class TestQuadCubicFloor:
         # gamma**2 is 0; delta**2/(2 gamma) (1 - delta/(3 gamma (1+gamma)))
         want = delta * delta / (2.0 * gamma) * (1.0 - delta / (3.0 * gamma))
         assert quad_cubic_floor(delta, gamma) == pytest.approx(want, rel=1e-14)
+
+    def test_ordinary_inputs_take_the_plain_form(self):
+        # only a subnormal or zero gamma**2 takes the factored form
+        rng = np.random.default_rng(5)
+        for delta, gamma in zip(rng.uniform(0.0, 1.0, 2000),
+                                10.0 ** rng.uniform(-150.0, 0.0, 2000)):
+            delta, gamma = float(delta), float(gamma)
+            d2 = delta * delta
+            want = (d2 / (2.0 * gamma)
+                    - d2 * delta / (6.0 * gamma * gamma * (1.0 + gamma)))
+            assert quad_cubic_floor(delta, gamma) == want
 
     @pytest.mark.parametrize("gamma", [1e-200, 5e-324])
     def test_overflow_gives_minus_inf(self, gamma):

@@ -48,43 +48,6 @@ def edge_cases(size, count=6):
             yield pair, lo + f * (hi - lo)
 
 
-def mp_rate(mpmath, pair, r):
-    """(I(r), t*) at 50 digits: Newton on H'(t) = r, bisecting whenever a
-    step leaves the sign-checked bracket [-1000, 1000]."""
-    with mpmath.workdps(50):
-        p1 = [mpmath.mpf(a) for a in pair.p1.probs]
-        y = [mpmath.log(mpmath.mpf(b) / a) for a, b in zip(p1, pair.p2.probs)]
-        r = mpmath.mpf(r)
-        lo, hi, t = mpmath.mpf(-1000), mpmath.mpf(1000), mpmath.mpf(0)
-        for _ in range(1000):
-            w = [a * mpmath.exp(t * v) for a, v in zip(p1, y)]
-            s = mpmath.fsum(w)
-            m1 = mpmath.fsum(wi * v for wi, v in zip(w, y)) / s
-            m2 = mpmath.fsum(wi * (v - m1) ** 2 for wi, v in zip(w, y)) / s
-            if m1 < r:
-                lo = t
-            else:
-                hi = t
-            nxt = t - (m1 - r) / m2
-            if not lo < nxt < hi:
-                nxt = (lo + hi) / 2
-            if abs(nxt - t) < mpmath.mpf(10) ** -40:
-                return float(t * r - mpmath.log(s)), float(t)
-            t = nxt
-        raise AssertionError(f"oracle did not converge for r = {r}")
-
-
-def grid_rate(pair, r, span=5.0, step=1e-5):
-    """Dense-grid Legendre transform, an independent oracle for I(r)."""
-    p1 = np.array(pair.p1.probs)
-    p2 = np.array(pair.p2.probs)
-    t = np.arange(-span, span + step / 2, step)
-    terms = np.outer(1 - t, np.log(p1)) + np.outer(t, np.log(p2))
-    m = terms.max(axis=1)
-    h = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
-    return float(np.max(t * r - h))
-
-
 class TestThresholds:
     def test_ordering_enforced(self):
         with pytest.raises(InadmissibleThresholds):
@@ -140,10 +103,11 @@ class TestRateFunction:
         recomputed = res.t_star * 0.01 - log_mgf(ex1_pair, res.t_star)
         assert res.value == pytest.approx(recomputed, abs=1e-12)
 
-    def test_matches_grid_oracle(self, ex1_pair):
+    def test_matches_mpmath_oracle(self, ex1_pair, oracle):
+        p1, p2 = oracle.exact_pair(ex1_pair)
         for r in (-0.05, -0.01, 0.0, 0.02, 0.06):
             assert rate_function(ex1_pair, r).value == pytest.approx(
-                grid_rate(ex1_pair, r), abs=1e-8)
+                oracle.rate(p1, p2, r)[0], abs=1e-8)
 
     def test_out_of_domain(self, ex1_pair):
         hi = max(ex1_pair.llr12)          # ln(P2/P1) essential sup is -min llr
@@ -207,42 +171,22 @@ class TestChernoffInformation:
             rate_function(HypothesisPair(q1, q2), 0.0)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 16, 64])
-    def test_matches_mpmath_oracle(self, size):
-        mpmath = pytest.importorskip("mpmath")
+    def test_matches_mpmath_oracle(self, size, oracle):
         rng = np.random.default_rng(size)
-        with mpmath.workdps(50):
-            for _ in range(8):
-                pair = random_pair(rng, size)
-                c, t_star = chernoff_information(pair)
-                p1 = [mpmath.mpf(a) for a in pair.p1.probs]
-                y = [mpmath.log(mpmath.mpf(b) / a)
-                     for a, b in zip(p1, pair.p2.probs)]
-                # Newton on H'(t) = 0 with H'' the tilted variance; H' is
-                # strictly increasing, so the root it reaches is the only one
-                t = mpmath.mpf(0.5)
-                for _ in range(100):
-                    w = [a * mpmath.exp(t * v) for a, v in zip(p1, y)]
-                    m1 = mpmath.fsum(wi * v for wi, v in zip(w, y)) / mpmath.fsum(w)
-                    m2 = mpmath.fsum(wi * v * v for wi, v in zip(w, y)) / mpmath.fsum(w)
-                    step = m1 / (m2 - m1 * m1)
-                    t -= step
-                    if abs(step) < mpmath.mpf(10) ** -40:
-                        break
-                else:
-                    pytest.fail(f"oracle Newton did not converge for {pair}")
-                oracle_c = -mpmath.log(mpmath.fsum(
-                    a * mpmath.exp(t * v) for a, v in zip(p1, y)))
-                assert abs(t_star - float(t)) <= 1e-10
-                assert c == pytest.approx(float(oracle_c), rel=1e-10, abs=0.0)
+        for _ in range(8):
+            pair = random_pair(rng, size)
+            c, t_star = chernoff_information(pair)
+            want, want_t = oracle.rate(*oracle.exact_pair(pair), 0.0)
+            assert abs(t_star - want_t) <= 1e-10
+            assert c == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestRateFunctionEdges:
     @pytest.mark.parametrize("size", EDGE_SIZES)
-    def test_matches_mpmath_oracle_near_range_ends(self, size):
-        mpmath = pytest.importorskip("mpmath")
+    def test_matches_mpmath_oracle_near_range_ends(self, size, oracle):
         returned = 0
         for pair, r in edge_cases(size):
-            want, t_star = mp_rate(mpmath, pair, r)
+            want, t_star = oracle.rate(*oracle.exact_pair(pair), r)
             if abs(t_star) > _T_CAP:
                 with pytest.raises(OutOfDomain):
                     rate_function(pair, r)
@@ -409,10 +353,7 @@ class TestCertifiedStop:
             if lo < 0.0 < hi:
                 yield pair, 0.0
 
-    def test_stop_lands_within_tolerance_of_mpmath_root(self, monkeypatch):
-        mpmath = pytest.importorskip("mpmath")
-        import devex.exponents as ex
-
+    def test_stop_lands_within_tolerance_of_mpmath_root(self, monkeypatch, oracle):
         points = []
         inner = ex._newton_point
 
@@ -433,7 +374,10 @@ class TestCertifiedStop:
                 continue
             if not points:
                 continue
-            want, t_star = mp_rate(mpmath, pair, r)
+            # the stored pair: on the normalised one the bound misses a known
+            # near-identical case until it carries the normalisation
+            # residues (ROADMAP item 5; test_known_defects.py)
+            want, t_star = oracle.rate(pair.p1.probs, pair.p2.probs, r)
             # every bound the certificate forms holds, stop or not
             for _, t_new, err in points:
                 assert abs(t_new - t_star) <= err, (pair, r)
@@ -482,7 +426,7 @@ TINY_P1 = ([1.0, 1e-300], [0.5, 0.5])
 
 class TestSolverGuards:
     """Inputs that reach the solver's fallbacks, which no other test does,
-    checked against the 50-digit mp_rate at TestRateFunctionEdges'
+    checked against the 50-digit oracle at TestRateFunctionEdges'
     tolerances. r is 0 (the Chernoff point) or at a fraction of the range."""
 
     @pytest.mark.parametrize("fn,guard,p1,p2,where", [
@@ -501,8 +445,8 @@ class TestSolverGuards:
                      [0.9, 0.1], [1e-5, 1 - 1e-5], 1e-7,
                      id="bisection-step"),
     ])
-    def test_guard_reached_and_result_matches_oracle(self, fn, guard, p1, p2, where):
-        mpmath = pytest.importorskip("mpmath")
+    def test_guard_reached_and_result_matches_oracle(self, fn, guard, p1, p2, where,
+                                                     oracle):
         labels = "abc"[:len(p1)]
         pair = HypothesisPair(make_pmf(labels, p1), make_pmf(labels, p2))
         lo, hi = pair.llr21_range
@@ -510,7 +454,7 @@ class TestSolverGuards:
         reached, res = runs_guarded_line(getattr(ex, fn), guard,
                                          lambda: rate_function(pair, r))
         assert reached
-        want, t_star = mp_rate(mpmath, pair, r)
+        want, t_star = oracle.rate(*oracle.exact_pair(pair), r)
         assert res.value == pytest.approx(want, rel=1e-10, abs=0.0)
         assert res.t_star == pytest.approx(t_star, rel=0.0, abs=1e-8)
 
@@ -546,11 +490,12 @@ class TestExactExponents:
         assert ex.alpha2 == pytest.approx(i_neg, abs=1e-10)
         assert ex.pe1 == pytest.approx(min(i_neg, i_neg + lam), abs=1e-10)
 
-    def test_erasure_window_against_grid_oracle(self, ex1_pair):
+    def test_erasure_window_against_mpmath_oracle(self, ex1_pair, oracle):
         th = Thresholds(0.02, -0.02)
         ex = exact_exponents(ex1_pair, th)
-        ga1 = grid_rate(ex1_pair, -0.02)
-        ga2 = grid_rate(ex1_pair, 0.02)
+        p1, p2 = oracle.exact_pair(ex1_pair)
+        ga1 = oracle.rate(p1, p2, -0.02)[0]
+        ga2 = oracle.rate(p1, p2, 0.02)[0]
         assert ex.alpha1 == pytest.approx(ga1, abs=1e-8)
         assert ex.alpha2 == pytest.approx(ga2, abs=1e-8)
         assert ex.beta1 == pytest.approx(ga2 - 0.02, abs=1e-8)

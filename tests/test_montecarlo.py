@@ -295,23 +295,21 @@ def reference_binary_tail(pair, n, th):
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_binom = math.lgamma(n + 1) - lg - lg[::-1]
 
-    def tail(probs, logs, mask):
+    def tail(logs, mask):
         if not mask.any():
             return 0.0
-        logpmf = (log_binom + ks * logs[1]
-                  + (n - ks) * math.log1p(-probs[1]))
+        logpmf = log_binom + ks * logs[1] + (n - ks) * logs[0]
         selected = logpmf[mask]
         m = selected.max()
         return float(math.exp(m + math.log(np.exp(selected - m).sum())))
 
-    p1, p2 = pair.p1.probs, pair.p2.probs
-    log_p1 = [math.log(p) for p in p1]
-    log_p2 = [math.log(q) for q in p2]
+    log_p1 = [math.log(p) for p in pair.p1.probs]
+    log_p2 = [math.log(q) for q in pair.p2.probs]
     return montecarlo.TailProbabilities(
-        alpha1=tail(p1, log_p1, scores <= t_upper),
-        alpha2=tail(p1, log_p1, scores <= t_lower),
-        beta1=tail(p2, log_p2, scores >= t_lower),
-        beta2=tail(p2, log_p2, scores >= t_upper),
+        alpha1=tail(log_p1, scores <= t_upper),
+        alpha2=tail(log_p1, scores <= t_lower),
+        beta1=tail(log_p2, scores >= t_lower),
+        beta2=tail(log_p2, scores >= t_upper),
     )
 
 
