@@ -9,16 +9,16 @@ The inputs echo every parsed option except NOT_INPUTS, plus the pair file's
 fields for the commands that read one; each handler returns the results.
 
 Numbers stay numbers (shortest round-trip representation); infinities become
-the string "inf" since JSON has none. Diagnostics go to stderr only, so the
-results stream stays pure JSON (or CSV under --csv). Exit codes: 0 success,
-2 input or validation error, 3 internal numeric failure.
+the string "inf" since JSON has none. Diagnostics go to stderr only, as
+plain lines under DEVEX_LOG=info or debug, so the results stream stays pure
+JSON (or CSV under --csv). Exit codes: 0 success, 2 input or validation
+error, 3 internal numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -35,8 +35,6 @@ from .errors import DevexError, DomainError, NoConvergence
 from .exponents import EVENTS, PE_EVENTS, Thresholds, compare_report
 from .fisher import RatioRow, bernoulli_family, limit_ratios, ternary_family
 from .probdist import HypothesisPair, make_pmf
-
-log = logging.getLogger("devex.cli")
 
 PAIR_FIELDS = ("alphabet", "p1", "p2")
 # parsed arguments that a report does not echo as inputs: the subcommand and
@@ -87,21 +85,20 @@ def load_pair(path: str):
         except OverflowError as e:
             # an integer literal too large for a float
             raise DevexError(f"{path}: field {field}: {e}") from e
-    pair = HypothesisPair(*pmfs)
-    log.info("loaded pair from %s: %d symbols", path, pair.size())
-    return pair, raw
+    return HypothesisPair(*pmfs), raw
 
 
-def _pair_and_thresholds(args, inputs: dict):
-    """Load the pair file, echo its fields among the inputs, and read the
-    thresholds."""
+def _pair_and_thresholds(args, inputs: dict, log):
+    """Load the pair file, say so on the diagnostics channel, echo its
+    fields among the inputs, and read the thresholds."""
     pair, raw = load_pair(args.pair_file)
+    log(f"loaded pair from {args.pair_file}: {pair.size()} symbols")
     inputs.update((f, raw[f]) for f in PAIR_FIELDS)
     return pair, Thresholds(args.lambda_upper, args.lambda_lower)
 
 
-def cmd_exponents(args, inputs: dict) -> dict:
-    report = compare_report(*_pair_and_thresholds(args, inputs))
+def cmd_exponents(args, inputs: dict, log) -> dict:
+    report = compare_report(*_pair_and_thresholds(args, inputs, log))
     results = {f"exact_{k}": v for k, v in report.exact._asdict().items()}
     for prefix, bounds in (("refined_lb", report.refined), ("azuma_lb", report.azuma)):
         results.update((f"{prefix}_{pe}", getattr(bounds, pe)) for pe in PE_EVENTS)
@@ -116,7 +113,7 @@ def cmd_exponents(args, inputs: dict) -> dict:
     return results
 
 
-def cmd_bounds(args, inputs: dict) -> dict:
+def cmd_bounds(args, inputs: dict, log) -> dict:
     params = MartingaleParams(d=args.d, sigma_sq=args.sigma_sq)
     sided = ONE_SIDED if args.sided == "one" else TWO_SIDED
     delta = params.delta(args.alpha)
@@ -129,7 +126,7 @@ def cmd_bounds(args, inputs: dict) -> dict:
             "gamma": params.gamma, "quad_cubic_floor": floor}
 
 
-def cmd_fisher(args, inputs: dict) -> dict:
+def cmd_fisher(args, inputs: dict, log) -> dict:
     if args.family == "bernoulli":
         if args.alpha is not None:
             raise DevexError("--alpha only applies to the ternary family")
@@ -152,13 +149,13 @@ def cmd_fisher(args, inputs: dict) -> dict:
     return results
 
 
-def cmd_simulate(args, inputs: dict) -> dict:
+def cmd_simulate(args, inputs: dict, log) -> dict:
     # the only subcommand that needs numpy, so only it loads it
     from .montecarlo import SimConfig, exact_binary_tail, simulate_test
 
     if args.threads < 1:
         raise DomainError(f"threads = {args.threads} must be a positive integer")
-    pair, th = _pair_and_thresholds(args, inputs)
+    pair, th = _pair_and_thresholds(args, inputs, log)
     config = SimConfig(
         n=args.n,
         trials=args.trials,
@@ -167,8 +164,8 @@ def cmd_simulate(args, inputs: dict) -> dict:
         priors=(args.pi1, 1.0 - args.pi1),
     )
     result = simulate_test(pair, config)
-    log.info("simulated %d trials per hypothesis at n=%d on one thread",
-             args.trials, args.n)
+    log(f"simulated {args.trials} trials per hypothesis at n={args.n} "
+        "on one thread")
     exact = None
     if pair.size() == 2:
         tails = exact_binary_tail(pair, args.n, th)
@@ -221,24 +218,17 @@ def emit(report: dict, csv: bool):
         out.write("\n")
 
 
-def _configure_logging():
-    name = os.environ.get("DEVEX_LOG", "error").strip().lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if name not in levels:
-        print(f"warning: DEVEX_LOG={name!r} not one of error/info/debug",
+def _diagnostics():
+    """The stderr channel of one main() call, from DEVEX_LOG: at info or
+    debug each message is an "INFO devex.cli: <message>" line on the
+    sys.stderr of that moment; at error, the default, nothing is written."""
+    level = os.environ.get("DEVEX_LOG", "error").strip().lower()
+    if level in ("info", "debug"):
+        return lambda message: print(f"INFO devex.cli: {message}", file=sys.stderr)
+    if level != "error":
+        print(f"warning: DEVEX_LOG={level!r} not one of error/info/debug",
               file=sys.stderr)
-        name = "error"
-    # own the package logger rather than the root: basicConfig silently
-    # no-ops when a host application (or test runner) already installed a
-    # root handler. Replacing the handler keeps repeated main() calls in
-    # one process from printing duplicate lines.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    pkg = logging.getLogger("devex")
-    pkg.handlers.clear()
-    pkg.addHandler(handler)
-    pkg.setLevel(levels[name])
-    pkg.propagate = False
+    return lambda message: None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    log = _diagnostics()
     args = build_parser().parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k not in NOT_INPUTS}
     try:
         report = {"command": args.command, "inputs": inputs,
-                  "results": args.handler(args, inputs)}
+                  "results": args.handler(args, inputs, log)}
     except DevexError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3 if isinstance(e, NoConvergence) else 2

@@ -74,3 +74,21 @@ def binary_kl(p, q):
     with mpmath.workdps(DPS):
         p, q = mpmath.mpf(p), mpmath.mpf(q)
         return float(p * mpmath.log(p / q) + (1 - p) * mpmath.log((1 - p) / (1 - q)))
+
+
+def wilson(count, total):
+    """The 95% Wilson interval for count successes in total trials, with
+    the one-sided rule of three at count 0 and count total, and both ends
+    clamped to [0, 1]."""
+    with mpmath.workdps(DPS):
+        n = mpmath.mpf(total)
+        if count == 0:
+            return 0.0, float(min(1, 3 / n))
+        if count == total:
+            return float(max(0, 1 - 3 / n)), 1.0
+        z2 = 2 * mpmath.erfinv(mpmath.mpf("0.95")) ** 2
+        p = count / n
+        denom = 1 + z2 / n
+        center = (p + z2 / (2 * n)) / denom
+        half = mpmath.sqrt(z2 * (p * (1 - p) / n + z2 / (4 * n * n))) / denom
+        return float(max(0, center - half)), float(min(1, center + half))

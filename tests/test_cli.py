@@ -1,6 +1,5 @@
 import inspect
 import json
-import logging
 import math
 import os
 import shutil
@@ -23,19 +22,10 @@ from conftest import write_pair_file
 
 
 @pytest.fixture(autouse=True)
-def clean_logging(monkeypatch):
-    """Pin the logging environment per test.
-
-    The CLI binds its handler to sys.stderr at configure time, which under
-    capsys is a per-test buffer; a handler left over from another test
-    would send records to a dead stream.
-    """
+def quiet_by_default(monkeypatch):
+    """Each test starts at the default DEVEX_LOG level, whatever the shell
+    sets."""
     monkeypatch.delenv("DEVEX_LOG", raising=False)
-    pkg = logging.getLogger("devex")
-    yield
-    pkg.handlers.clear()
-    pkg.setLevel(logging.NOTSET)
-    pkg.propagate = True
 
 
 @pytest.fixture()
@@ -537,6 +527,19 @@ class TestLogging:
         json.loads(out)
         assert "loaded pair" in err
 
+    @pytest.mark.parametrize("level", ["info", "debug"])
+    def test_exact_lines(self, capsys, ex1_pair_file, monkeypatch, level):
+        # debug prints what info prints: nothing logs at debug
+        monkeypatch.setenv("DEVEX_LOG", level)
+        loaded = f"INFO devex.cli: loaded pair from {ex1_pair_file}: 2 symbols\n"
+        assert main(["exponents", ex1_pair_file]) == 0
+        assert capsys.readouterr().err == loaded
+        assert main(["simulate", ex1_pair_file, "--n", "20", "--trials",
+                     "300"]) == 0
+        assert capsys.readouterr().err == (
+            loaded + "INFO devex.cli: simulated 300 trials per hypothesis "
+                     "at n=20 on one thread\n")
+
     def test_quiet_by_default(self, capsys, ex1_pair_file):
         rc = main(["exponents", ex1_pair_file])
         _, err = capsys.readouterr()
@@ -651,7 +654,7 @@ class TestImportCost:
             "before = set(sys.modules)\n"
             f"{body}"
             "print(json.dumps({'result': result, 'new': sorted(\n"
-            "    m for m in ('dataclasses', 'inspect', 'numpy', 'scipy')\n"
+            "    m for m in ('dataclasses', 'inspect', 'logging', 'numpy', 'scipy')\n"
             "    if m in set(sys.modules) - before)}))\n"
         )
         env = dict(os.environ,
@@ -663,9 +666,10 @@ class TestImportCost:
         return json.loads(proc.stdout.splitlines()[-1])
 
     def test_cli_runs_without_numpy_or_scipy(self, ex1_pair_file):
-        # only simulate needs numpy; scipy is not a dependency, and the
+        # only simulate needs numpy; scipy is not a dependency, the
         # records are named tuples, so dataclasses (and the inspect it
-        # pulls in) would be pure import cost
+        # pulls in) would be pure import cost, and diagnostics are plain
+        # stderr lines, so logging would be too
         runs = [
             ["exponents", ex1_pair_file],
             ["bounds", "--d", "1", "--sigma-sq", "0.5", "--n", "20",

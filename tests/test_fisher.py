@@ -144,6 +144,21 @@ class TestLimitRatios:
         assert rep.loosened_limit == pytest.approx(
             0.1 * ternary_j(0.9, 1.0) / 8, rel=0.02)
 
+    @pytest.mark.parametrize("family,theta", [
+        *((bernoulli_family(), theta) for theta in (0.2, 0.3, 0.5, 0.8)),
+        *((ternary_family(alpha), theta) for alpha in (0.4, 0.9)
+          for theta in (0.5, 1.0, 2.0, 3.0)),
+    ])
+    def test_a_theta_closed_form(self, family, theta):
+        # Azuma's limit J^2 h^2 / (8 max_x s(x)^2) over J h^2 / 8 gives
+        # a(theta) = J / max_x s(x)^2: (1 - alpha) min(theta, 1/theta) for
+        # the ternary family, so theta > 1 takes the other branch
+        probs, score = family.pmf_at(theta).probs, family.score_at(theta)
+        j = math.fsum(p * s * s for p, s in zip(probs, score))
+        rep = limit_ratios(family, theta, (1e-3, 2e-3, 4e-3))
+        assert rep.a_theta == pytest.approx(j / max(s * s for s in score),
+                                            rel=1e-5)
+
     def test_rows_carry_raw_ratios(self):
         rep = limit_ratios(bernoulli_family(), 0.5, OFFSETS)
         assert tuple(r.h for r in rep.rows) == OFFSETS

@@ -39,6 +39,7 @@ from devex.montecarlo import (
     _PURPOSE_SLLN,
     _event_masks,
     _llr_scores,
+    _wilson,
 )
 
 from conftest import random_pair, write_pair_file
@@ -69,6 +70,16 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(DomainError):
             SimConfig(**base)
+
+
+class TestWilson:
+    # the interval ends that every Estimate reports, pinned to 50 digits
+    @pytest.mark.parametrize("count,total", [
+        (1, 10), (5, 10), (9, 10), (1, 2), (1, 3), (37, 4000), (2000, 4000),
+        (3999, 4000), (0, 1), (0, 2), (0, 4000), (1, 1), (4000, 4000)])
+    def test_matches_oracle(self, oracle, count, total):
+        want = oracle.wilson(count, total)
+        assert _wilson(count, total) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSimulateTest:
